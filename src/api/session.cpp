@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "circuit/parser.hpp"
+#include "obs/registry.hpp"
 #include "sim/diagnostics.hpp"
 #include "stats/yield.hpp"
 
@@ -315,11 +317,16 @@ GraphResult Session::run_graph(const core::PathVariationModel& model,
   }
   GraphResult res;
   res.mc = graph_an_->monte_carlo(model, opt);
-  core::GraphAnalyzer::Workspace ws;
-  const numeric::Vector w0(graph_an_->sources(model).size(), 0.0);
-  res.nominal =
-      graph_an_->evaluate(graph_an_->sample_from_sources(model, w0), ws);
-  res.analytic = graph_an_->analytic_endpoints(model);
+  // The nominal sample and the block models are sample-independent and
+  // come from the analyzer's memo. A cold fill records into the run's
+  // registry, as the Monte Carlo above does, and spreads its stage
+  // simulations over the run's threads.
+  obs::Registry* reg = opt.registry != nullptr ? opt.registry
+                                              : obs::ambient_registry();
+  std::optional<obs::ScopedContext> obs_ctx;
+  if (reg != obs::ambient_registry()) obs_ctx.emplace(reg, 0);
+  res.nominal = graph_an_->nominal();
+  res.analytic = graph_an_->analytic_endpoints(model, opt.exec.threads);
   return res;
 }
 

@@ -153,7 +153,10 @@ class Session {
 
   /// Multi-path analysis bundle (graph sessions only): worst-endpoint
   /// Monte Carlo, the all-nominal sample report and the analytic SSTA
-  /// endpoint forms.
+  /// endpoint forms. The last two are characterized on the first call
+  /// (on opt.exec.threads lanes) and memoized in the analyzer, so later
+  /// calls pay only for the Monte Carlo; results are bitwise equal either
+  /// way. Safe to call concurrently on one Session.
   GraphResult run_graph(const core::PathVariationModel& model,
                         const stats::RunOptions& opt) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "runtime/thread_pool.hpp"
 #include "teta/stage.hpp"
 
 namespace lcsf::core {
@@ -291,119 +293,149 @@ stats::MonteCarloResult GraphAnalyzer::monte_carlo(
   return stats::Runner(opt).run_monte_carlo(f, sources(model));
 }
 
+const GraphAnalyzer::SampleResult& GraphAnalyzer::nominal() const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (!nominal_) {
+    GraphSample s;  // every device and wire variation zero
+    s.device.resize(subgraph_.size());
+    Workspace ws;
+    nominal_ = evaluate(s, ws);
+  }
+  return *nominal_;
+}
+
 std::vector<timing::ssta::BlockDelayModel> GraphAnalyzer::block_models(
-    const PathVariationModel& model) const {
+    const PathVariationModel& model, std::size_t threads) const {
   obs::ScopedSpan span("graph_block_models");
   const double vdd = spec_.tech.vdd;
   const double m_local = 0.25 * spec_.stage_window;
   const double s_nom = spec_.input.s;
+  // Central differences, normalized to one 3-sigma tolerance unit
+  // (sample_from_sources applies the same scaling).
+  const double h_w = 0.2;
+  // Input-slew step (per second): the slew sensitivity is available for
+  // slew-aware refinements of the analytic composition.
+  const double hs = 0.1 * std::max(s_nom, 10.0 * spec_.dt);
+
+  // The stage simulations every block needs, in assembly order: the
+  // nominal, a (+, -) pair per enabled source, then the input-slew pair.
+  struct Probe {
+    double s_in = 0.0;
+    timing::DeviceVariation dev;
+    interconnect::WireVariation wire;
+  };
+  std::vector<Probe> probes{{s_nom, {}, {}}};
+  if (model.std_dl > 0.0) {
+    const double step = h_w * spec_.tech.sigma3_dl_frac * spec_.tech.lmin;
+    probes.push_back({s_nom, {step, 0.0}, {}});
+    probes.push_back({s_nom, {-step, 0.0}, {}});
+  }
+  if (model.std_vt > 0.0) {
+    const double step =
+        h_w * spec_.tech.sigma3_vt_frac * spec_.tech.nmos.vt0;
+    probes.push_back({s_nom, {0.0, step}, {}});
+    probes.push_back({s_nom, {0.0, -step}, {}});
+  }
+  if (model.std_wire_w > 0.0) {
+    Probe plus{s_nom, {}, {}};
+    Probe minus = plus;
+    plus.wire.width = h_w * spec_.tech.wire_tol.width;
+    minus.wire.width = -h_w * spec_.tech.wire_tol.width;
+    probes.push_back(plus);
+    probes.push_back(minus);
+  }
+  if (model.std_wire_h > 0.0) {
+    Probe plus{s_nom, {}, {}};
+    Probe minus = plus;
+    plus.wire.ild_thickness = h_w * spec_.tech.wire_tol.ild_thickness;
+    minus.wire.ild_thickness = -h_w * spec_.tech.wire_tol.ild_thickness;
+    probes.push_back(plus);
+    probes.push_back(minus);
+  }
+  probes.push_back({s_nom + hs, {}, {}});
+  probes.push_back({s_nom - hs, {}, {}});
+
+  // Every (block, probe) simulation is independent: run them on the
+  // lanes into fixed slots, so the assembly below sees the same doubles
+  // for every thread count. A failure is kept per slot and the first in
+  // slot order is rethrown, whichever lane hit it first.
+  const std::size_t np = probes.size();
+  std::vector<std::pair<double, double>> delay_slew(blocks_.size() * np);
+  std::vector<std::exception_ptr> failed(delay_slew.size());
+  obs::Registry* reg = obs::ambient_registry();
+  runtime::parallel_for_lanes(
+      threads, delay_slew.size(),
+      [&](std::size_t begin, std::size_t end, std::size_t lane) {
+        // Worker lanes record to their own sinks; lane 0 is the calling
+        // thread, whose context (and span path) stays in place.
+        std::optional<obs::ScopedContext> lane_ctx;
+        if (lane != 0) lane_ctx.emplace(reg, lane);
+        for (std::size_t i = begin; i < end; ++i) {
+          const Block& b = blocks_[i / np];
+          const Probe& p = probes[i % np];
+          const StageModel& st = stages_[b.stage_slot].model;
+          const bool out_rising = !st.cell->inverting;  // rising input
+          const RampParams in{m_local, p.s_in, true};
+          try {
+            const RampParams o = measure_stage_with_retry(
+                st, spec_.tech, sim_options(), b.stage_slot,
+                in.to_source(vdd), 0.0, p.dev, p.wire, out_rising, nullptr,
+                nullptr);
+            delay_slew[i] = {o.m - m_local, o.s};
+          } catch (...) {
+            failed[i] = std::current_exception();
+          }
+        }
+      },
+      /*grain=*/1);
+  for (const std::exception_ptr& e : failed) {
+    if (e) std::rethrow_exception(e);
+  }
 
   std::vector<timing::ssta::BlockDelayModel> out;
   out.reserve(blocks_.size());
-  for (const Block& b : blocks_) {
-    const GateStage& gs = stages_[b.stage_slot];
-    const bool out_rising = !gs.model.cell->inverting;  // rising input
-    auto stage_delay_slew = [&](double s_in,
-                                const timing::DeviceVariation& dev,
-                                const interconnect::WireVariation& wire) {
-      RampParams in{m_local, s_in, true};
-      const RampParams o = measure_stage_with_retry(
-          gs.model, spec_.tech, sim_options(), b.stage_slot,
-          in.to_source(vdd), 0.0, dev, wire, out_rising, nullptr, nullptr);
-      return std::make_pair(o.m - m_local, o.s);
+  for (std::size_t k = 0; k < blocks_.size(); ++k) {
+    const auto* r = &delay_slew[k * np];
+    std::size_t next = 1;
+    auto central = [&](double h) {
+      const double d = (r[next].first - r[next + 1].first) / (2.0 * h);
+      next += 2;
+      return d;
     };
-
-    const timing::DeviceVariation dev0{};
-    const interconnect::WireVariation wire0{};
-    const auto [d0, f0] = stage_delay_slew(s_nom, dev0, wire0);
-
     timing::ssta::BlockDelayModel m;
-    m.cell = b.cell;
-    m.load_cap = b.receiver_cap;
+    m.cell = blocks_[k].cell;
+    m.load_cap = blocks_[k].receiver_cap;
     m.input_slew = s_nom;
-    m.nominal_delay = d0;
-    m.nominal_slew = f0;
-
-    // Central differences, normalized to one 3-sigma tolerance unit
-    // (sample_from_sources applies the same scaling).
-    const double h_w = 0.2;
-    auto central = [&](auto&& plus, auto&& minus) {
-      const auto [dp, fp] = plus();
-      const auto [dm, fm] = minus();
-      (void)fp;
-      (void)fm;
-      return (dp - dm) / (2.0 * h_w);
-    };
-    if (model.std_dl > 0.0) {
-      const double step =
-          h_w * spec_.tech.sigma3_dl_frac * spec_.tech.lmin;
-      m.d_delay_dl = central(
-          [&] {
-            timing::DeviceVariation d{step, 0.0};
-            return stage_delay_slew(s_nom, d, wire0);
-          },
-          [&] {
-            timing::DeviceVariation d{-step, 0.0};
-            return stage_delay_slew(s_nom, d, wire0);
-          });
-    }
-    if (model.std_vt > 0.0) {
-      const double step =
-          h_w * spec_.tech.sigma3_vt_frac * spec_.tech.nmos.vt0;
-      m.d_delay_vt = central(
-          [&] {
-            timing::DeviceVariation d{0.0, step};
-            return stage_delay_slew(s_nom, d, wire0);
-          },
-          [&] {
-            timing::DeviceVariation d{0.0, -step};
-            return stage_delay_slew(s_nom, d, wire0);
-          });
-    }
-    if (model.std_wire_w > 0.0) {
-      m.d_delay_wire_w = central(
-          [&] {
-            interconnect::WireVariation wv;
-            wv.width = h_w * spec_.tech.wire_tol.width;
-            return stage_delay_slew(s_nom, dev0, wv);
-          },
-          [&] {
-            interconnect::WireVariation wv;
-            wv.width = -h_w * spec_.tech.wire_tol.width;
-            return stage_delay_slew(s_nom, dev0, wv);
-          });
-    }
-    if (model.std_wire_h > 0.0) {
-      m.d_delay_wire_h = central(
-          [&] {
-            interconnect::WireVariation wv;
-            wv.ild_thickness = h_w * spec_.tech.wire_tol.ild_thickness;
-            return stage_delay_slew(s_nom, dev0, wv);
-          },
-          [&] {
-            interconnect::WireVariation wv;
-            wv.ild_thickness = -h_w * spec_.tech.wire_tol.ild_thickness;
-            return stage_delay_slew(s_nom, dev0, wv);
-          });
-    }
-    // Input-slew sensitivity (per second): available for slew-aware
-    // refinements of the analytic composition.
-    const double hs = 0.1 * std::max(s_nom, 10.0 * spec_.dt);
-    {
-      const auto [dp, fp] = stage_delay_slew(s_nom + hs, dev0, wire0);
-      const auto [dm, fm] = stage_delay_slew(s_nom - hs, dev0, wire0);
-      (void)fp;
-      (void)fm;
-      m.d_delay_slew = (dp - dm) / (2.0 * hs);
-    }
+    m.nominal_delay = r[0].first;
+    m.nominal_slew = r[0].second;
+    if (model.std_dl > 0.0) m.d_delay_dl = central(h_w);
+    if (model.std_vt > 0.0) m.d_delay_vt = central(h_w);
+    if (model.std_wire_w > 0.0) m.d_delay_wire_w = central(h_w);
+    if (model.std_wire_h > 0.0) m.d_delay_wire_h = central(h_w);
+    m.d_delay_slew = central(hs);
     out.push_back(m);
   }
   return out;
 }
 
+const GraphAnalyzer::BlockModels& GraphAnalyzer::cached_block_models(
+    const PathVariationModel& model, std::size_t threads) const {
+  const unsigned mask = (model.std_dl > 0.0 ? 1u : 0u) |
+                        (model.std_vt > 0.0 ? 2u : 0u) |
+                        (model.std_wire_w > 0.0 ? 4u : 0u) |
+                        (model.std_wire_h > 0.0 ? 8u : 0u);
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  auto it = block_memo_.find(mask);
+  if (it == block_memo_.end()) {
+    it = block_memo_.emplace(mask, block_models(model, threads)).first;
+  }
+  return it->second;
+}
+
 std::vector<GraphAnalyzer::AnalyticEndpoint>
-GraphAnalyzer::analytic_endpoints(const PathVariationModel& model) const {
-  const auto blocks = block_models(model);
+GraphAnalyzer::analytic_endpoints(const PathVariationModel& model,
+                                  std::size_t threads) const {
+  const BlockModels& blocks = cached_block_models(model, threads);
   const auto src = sources(model);
   const std::size_t nsrc = src.size();
   const std::size_t per_stage = model.sources_per_stage();

@@ -7,9 +7,11 @@
 #include <cmath>
 #include <vector>
 
+#include "api/session.hpp"
 #include "core/graph_analyzer.hpp"
 #include "core/path.hpp"
 #include "numeric/fp_compare.hpp"
+#include "obs/registry.hpp"
 #include "sim/diagnostics.hpp"
 #include "stats/random.hpp"
 #include "timing/graph.hpp"
@@ -365,6 +367,194 @@ TEST(GraphAnalyzer, BlockModelsAndAnalyticEndpoints) {
   EXPECT_NEAR(analytic[0].arrival.mean, nominal.max_delay,
               0.30 * nominal.max_delay);
   EXPECT_GT(ssta::variance(analytic[0].arrival), 0.0);
+}
+
+// ---- sample-independent memo (nominal sample + block models) ----------
+
+/// Every double a block model carries, for bitwise comparison.
+std::vector<double> block_bits(
+    const std::vector<ssta::BlockDelayModel>& blocks) {
+  std::vector<double> out;
+  for (const auto& b : blocks) {
+    out.insert(out.end(),
+               {b.load_cap, b.input_slew, b.nominal_delay, b.nominal_slew,
+                b.d_delay_dl, b.d_delay_vt, b.d_delay_wire_w,
+                b.d_delay_wire_h, b.d_delay_slew});
+  }
+  return out;
+}
+
+/// Everything a run_graph call returns, flattened for bitwise comparison.
+std::vector<double> graph_bits(const api::GraphResult& g) {
+  std::vector<double> out = g.mc.values;
+  out.push_back(g.nominal.max_delay);
+  for (const auto& e : g.nominal.endpoints) {
+    out.insert(out.end(), {static_cast<double>(e.net), e.delay, e.slew});
+  }
+  out.insert(out.end(),
+             {static_cast<double>(g.nominal.stages_simulated),
+              static_cast<double>(g.nominal.stage_cache_hits),
+              static_cast<double>(g.nominal.merges)});
+  for (const auto& a : g.analytic) {
+    out.insert(out.end(), {static_cast<double>(a.net), a.arrival.mean,
+                           a.arrival.local});
+    out.insert(out.end(), a.arrival.sens.begin(), a.arrival.sens.end());
+  }
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (!numeric::exact_eq(a[k], b[k])) return false;
+  }
+  return true;
+}
+
+api::DesignSpec s27_graph_spec() {
+  api::DesignSpec spec;
+  spec.circuit = "s27";
+  spec.graph = true;
+  spec.top_k = 8;
+  return spec;
+}
+
+core::PathVariationModel dl_vt_model() {
+  core::PathVariationModel model;
+  model.std_dl = 0.33;
+  model.std_vt = 0.33;
+  return model;
+}
+
+stats::RunOptions graph_run(std::size_t threads, std::size_t batch) {
+  stats::RunOptions opt;
+  opt.samples = 4;
+  opt.seed = 17;
+  opt.exec.threads = threads;
+  opt.exec.batch = batch;
+  return opt;
+}
+
+TEST(GraphMemo, WarmRunGraphMatchesFreshSessionBitwise) {
+  const core::PathVariationModel model = dl_vt_model();
+  const auto warm = api::Session::load(s27_graph_spec());
+  (void)warm->run_graph(model, graph_run(2, 0));  // fills the memo
+  for (const std::size_t threads : {1u, 4u}) {
+    for (const std::size_t batch : {1u, 8u}) {
+      const auto fresh = api::Session::load(s27_graph_spec());
+      const auto cold = graph_bits(fresh->run_graph(model,
+                                                    graph_run(threads, batch)));
+      const auto hot =
+          graph_bits(warm->run_graph(model, graph_run(threads, batch)));
+      EXPECT_TRUE(same_bits(cold, hot))
+          << "threads " << threads << " batch " << batch;
+    }
+  }
+}
+
+TEST(GraphMemo, BlockModelsAreThreadCountInvariant) {
+  const auto session = api::Session::load(s27_graph_spec());
+  const core::GraphAnalyzer& graph = *session->graph_analyzer();
+  const core::PathVariationModel model = dl_vt_model();
+  const auto t1 = block_bits(graph.block_models(model, 1));
+  ASSERT_EQ(t1.size(), 9 * graph.num_blocks());
+  EXPECT_TRUE(same_bits(t1, block_bits(graph.block_models(model, 2))));
+  EXPECT_TRUE(same_bits(t1, block_bits(graph.block_models(model, 4))));
+}
+
+TEST(GraphMemo, SourceMaskGetsItsOwnEntry) {
+  core::PathVariationModel dl_only = dl_vt_model();
+  dl_only.std_vt = 0.0;
+  auto same_forms = [](const auto& a, const auto& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      std::vector<double> x = a[k].arrival.sens;
+      std::vector<double> y = b[k].arrival.sens;
+      x.insert(x.end(), {a[k].arrival.mean, a[k].arrival.local});
+      y.insert(y.end(), {b[k].arrival.mean, b[k].arrival.local});
+      if (!same_bits(x, y)) return false;
+    }
+    return true;
+  };
+  auto fresh = [](const core::PathVariationModel& model) {
+    return api::Session::load(s27_graph_spec())
+        ->graph_analyzer()
+        ->analytic_endpoints(model, 1);
+  };
+  // Fill the dl-only entry first: its block models carry no vt
+  // sensitivity, so the dl+vt model must not reuse them.
+  const auto shared = api::Session::load(s27_graph_spec());
+  const core::GraphAnalyzer& graph = *shared->graph_analyzer();
+  const auto dl = graph.analytic_endpoints(dl_only, 2);
+  const auto both = graph.analytic_endpoints(dl_vt_model(), 2);
+  EXPECT_TRUE(same_forms(dl, fresh(dl_only)));
+  EXPECT_TRUE(same_forms(both, fresh(dl_vt_model())));
+  // Same mask, different sigma: one entry serves both.
+  core::PathVariationModel wider = dl_vt_model();
+  wider.std_vt = 0.5;
+  EXPECT_TRUE(same_forms(graph.analytic_endpoints(wider, 2), fresh(wider)));
+}
+
+TEST(GraphMemo, FailedCharacterizationIsNotMemoized) {
+  // A stage window far too short for any transition: every stage
+  // simulation fails, classified. Each call must rethrow the same error
+  // rather than serve a half-filled memo entry.
+  core::GraphSpec gspec;
+  gspec.tech = circuit::technology_180nm();
+  gspec.netlist = diamond_netlist();
+  gspec.top_k = 4;
+  gspec.stage_window = 6e-12;
+  const core::GraphAnalyzer graph(std::move(gspec));
+  auto failure = [](auto&& call) {
+    try {
+      call();
+    } catch (const sim::SimulationError& e) {
+      return e.diagnostics().message();
+    }
+    return std::string("no throw");
+  };
+  const auto analytic = [&] { graph.analytic_endpoints(dl_vt_model(), 4); };
+  const std::string first = failure(analytic);
+  EXPECT_NE(first, "no throw");
+  EXPECT_EQ(failure(analytic), first);
+  const auto nominal = [&] { graph.nominal(); };
+  const std::string nominal_first = failure(nominal);
+  EXPECT_NE(nominal_first, "no throw");
+  EXPECT_EQ(failure(nominal), nominal_first);
+}
+
+TEST(GraphMemo, SecondCallSimulatesOnlyTheMonteCarlo) {
+  const core::PathVariationModel model = dl_vt_model();
+  const auto session = api::Session::load(s27_graph_spec());
+  auto traced_call = [&](obs::Registry& reg) {
+    stats::RunOptions opt = graph_run(2, 0);
+    opt.registry = &reg;
+    (void)session->run_graph(model, opt);
+    return reg.snapshot();
+  };
+  auto has_block_span = [](const obs::Snapshot& snap) {
+    for (const auto& [path, stat] : snap.timers) {
+      if (path.find("graph_block_models") != std::string::npos) return true;
+    }
+    return false;
+  };
+  obs::Registry first_reg;
+  obs::Registry second_reg;
+  obs::Registry mc_reg;
+  const obs::Snapshot first = traced_call(first_reg);
+  const obs::Snapshot second = traced_call(second_reg);
+  stats::RunOptions mc_opt = graph_run(2, 0);
+  mc_opt.registry = &mc_reg;
+  (void)session->run_monte_carlo(model, mc_opt);
+  const obs::Snapshot mc = mc_reg.snapshot();
+
+  EXPECT_TRUE(has_block_span(first));
+  EXPECT_FALSE(has_block_span(second));
+  ASSERT_GT(mc.counters.at("teta.transients"), 0u);
+  EXPECT_EQ(second.counters.at("teta.transients"),
+            mc.counters.at("teta.transients"));
+  EXPECT_GT(first.counters.at("teta.transients"),
+            second.counters.at("teta.transients"));
 }
 
 TEST(Benchmarks, FillerChainsTerminateAtLatches) {

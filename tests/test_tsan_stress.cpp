@@ -4,8 +4,9 @@
 // one pool at a time with mostly-idle workers; data races with narrow
 // windows (pool teardown vs. late grabs, concurrent pools sharing
 // process-wide state, exception propagation racing result writes) need
-// a workload designed to collide. This file hammers runtime::ThreadPool
-// and the parallel statistical drivers from many directions at once so
+// a workload designed to collide. This file hammers runtime::ThreadPool,
+// the parallel statistical drivers and the graph analyzer's lazily
+// filled memo (concurrent first calls on one Session) at once so
 // `tools/sanitize.sh thread` has real interleavings to inspect. The
 // assertions double as determinism checks: whatever the interleaving,
 // the numbers must be bitwise identical to the serial run.
@@ -22,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.hpp"
+#include "obs/registry.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/diagnostics.hpp"
 #include "stats/analysis.hpp"
@@ -165,6 +168,56 @@ TEST(TsanStress, GradientAnalysisParallelProbes) {
     ASSERT_EQ(got.gradient, base.gradient);
     ASSERT_EQ(got.stddev, base.stddev);
   }
+}
+
+TEST(TsanStress, ConcurrentRunGraphOnOneSession) {
+  // Two callers reach a cold graph Session at once: the memo of the
+  // nominal sample and the block models must fill once, behind its lock,
+  // while each caller records into its own registry on its own lanes.
+  api::DesignSpec spec;
+  spec.circuit = "s27";
+  spec.graph = true;
+  spec.top_k = 8;
+  core::PathVariationModel model;
+  model.std_dl = 0.33;
+  model.std_vt = 0.33;
+  auto options = [](std::size_t threads, obs::Registry* reg) {
+    stats::RunOptions opt;
+    opt.samples = 4;
+    opt.seed = 9;
+    opt.exec.threads = threads;
+    opt.registry = reg;
+    return opt;
+  };
+  auto bits = [](const api::GraphResult& g) {
+    std::vector<double> out = g.mc.values;
+    out.push_back(g.nominal.max_delay);
+    for (const auto& a : g.analytic) {
+      out.push_back(a.arrival.mean);
+      out.insert(out.end(), a.arrival.sens.begin(), a.arrival.sens.end());
+    }
+    return out;
+  };
+  const auto serial = bits(
+      api::Session::load(spec)->run_graph(model, options(1, nullptr)));
+
+  // Each caller is a pool task made a fresh nesting root, as a server
+  // connection handler is, so its run_graph spreads over its own lanes.
+  const auto shared = api::Session::load(spec);
+  obs::Registry regs[2];
+  api::GraphResult got[2];
+  runtime::ThreadPool callers(2);
+  callers.parallel_for(
+      2,
+      [&](std::size_t begin, std::size_t end) {
+        runtime::TaskRootScope root;
+        for (std::size_t c = begin; c < end; ++c) {
+          got[c] = shared->run_graph(model, options(2 + c, &regs[c]));
+        }
+      },
+      /*grain=*/1);
+  EXPECT_EQ(bits(got[0]), serial);
+  EXPECT_EQ(bits(got[1]), serial);
 }
 
 }  // namespace

@@ -135,7 +135,10 @@ echo "==== stage: obs ===="
 # batched Monte-Carlo runs use --samples 11 --batch 4 so the dispatch
 # has both full blocks and a scalar remainder (2 batches + 3 singleton
 # samples), and must stay deterministic across 1/2/8 worker threads at
-# that fixed batch width (docs/performance.md).
+# that fixed batch width (docs/performance.md). The graph report itself
+# (nominal endpoints, analytic SSTA from the memoized block models,
+# characterized on the run's lanes) must also be byte-identical at 1 and
+# 8 threads.
 OBS_DIR=build-ci-release/obs-ci
 STA=build-ci-release/tools/lcsf_sta
 SIM=build-ci-release/tools/lcsf_sim
@@ -157,9 +160,12 @@ if mkdir -p "$OBS_DIR" \
          --yield-estimator is --is-pilot 8 \
          --metrics "$OBS_DIR/sta_is_t8.json" > /dev/null \
     && "$STA" --circuit s27 --graph --top-k 8 --samples 8 --seed 3 \
-         --threads 1 --metrics "$OBS_DIR/sta_graph_t1.json" > /dev/null \
+         --threads 1 --metrics "$OBS_DIR/sta_graph_t1.json" \
+         > "$OBS_DIR/sta_graph_t1.txt" \
     && "$STA" --circuit s27 --graph --top-k 8 --samples 8 --seed 3 \
-         --threads 8 --metrics "$OBS_DIR/sta_graph_t8.json" > /dev/null \
+         --threads 8 --metrics "$OBS_DIR/sta_graph_t8.json" \
+         > "$OBS_DIR/sta_graph_t8.txt" \
+    && cmp "$OBS_DIR/sta_graph_t1.txt" "$OBS_DIR/sta_graph_t8.txt" \
     && "$SIM" examples/decks/inverter_chain.sp --tstop 1n --dt 2p \
          --points 2 --metrics "$OBS_DIR/sim.json" > /dev/null \
     && python3 tools/check_metrics.py --schema tools/metrics_schema.json \

@@ -22,14 +22,19 @@
 // engine counters) on exit; the same data is available live through
 // the `metrics` request.
 //
+// An unknown option, a missing value or a malformed number
+// (`--workers x`) is rejected with a diagnostic + usage and exit 1.
+//
 // Responses are bitwise identical to the equivalent CLI (lcsf_sta)
 // analyses: both are thin clients of api::Session and all analyses are
 // deterministic for every thread count and batch width.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 
+#include "flag_values.hpp"
 #include "obs/registry.hpp"
 #include "serve/server.hpp"
 #include "sim/diagnostics.hpp"
@@ -62,6 +67,7 @@ void print_usage(std::FILE* to) {
 int main(int argc, char** argv) {
   serve::ServerOptions opt;
   std::string metrics_path;
+  const tools::FlagValues values("lcsf_serve", print_usage);
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -70,11 +76,11 @@ int main(int argc, char** argv) {
       return argv[i];
     };
     if (arg == "--port") {
-      opt.port = std::atoi(next().c_str());
+      opt.port = static_cast<int>(values.count(arg, next(), 0, 65535));
     } else if (arg == "--workers") {
-      opt.workers = static_cast<std::size_t>(std::stoul(next()));
+      opt.workers = values.count(arg, next());
     } else if (arg == "--cache-mb") {
-      opt.cache_bytes = static_cast<std::size_t>(std::stoul(next())) << 20;
+      opt.cache_bytes = values.count(arg, next(), 0, SIZE_MAX >> 20) << 20;
     } else if (arg == "--metrics") {
       metrics_path = next();
     } else {

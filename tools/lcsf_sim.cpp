@@ -33,9 +33,11 @@
 // docs/performance.md); an invalid value is a classified error (exit 1),
 // and neither flag nor env changes any numerical result.
 //
-// An unknown option or a stray extra positional argument is rejected
-// with a diagnostic + usage and exit status 1; a malformed invocation
-// (missing deck or --tstop) exits 2.
+// An unknown option, a malformed numeric value (`--points abc`) or a
+// stray extra positional argument is rejected with a diagnostic + usage
+// and exit status 1; a malformed invocation (missing deck or --tstop)
+// exits 2. A deck the engine rejects at run time (e.g. a node driven by
+// two sources) is a classified failure, exit 1.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -46,6 +48,7 @@
 
 #include "api/session.hpp"
 #include "circuit/parser.hpp"
+#include "flag_values.hpp"
 #include "obs_cli.hpp"
 #include "runtime/thread_pool.hpp"
 #include "stats/analysis.hpp"
@@ -93,6 +96,7 @@ int main(int argc, char** argv) {
   std::string on_failure = "abort";
   std::vector<std::string> probes;
   tools::ObsCli obs_cli;
+  const tools::FlagValues values("lcsf_sim", print_usage);
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -100,19 +104,27 @@ int main(int argc, char** argv) {
       if (++i >= argc) usage();
       return argv[i];
     };
+    // --tstop/--dt take SPICE values ("2n", "10p"), as a deck does.
+    auto spice_value = [&]() {
+      const std::string text = next();
+      try {
+        return circuit::parse_value(text);
+      } catch (const circuit::ParseError&) {
+        values.reject(arg, text);
+      }
+    };
     if (arg == "--tstop") {
-      tstop = circuit::parse_value(next());
+      tstop = spice_value();
     } else if (arg == "--dt") {
-      dt = circuit::parse_value(next());
+      dt = spice_value();
     } else if (arg == "--probe") {
       probes.push_back(next());
     } else if (arg == "--tech") {
       tech_name = next();
     } else if (arg == "--points") {
-      points = static_cast<std::size_t>(std::stoul(next()));
+      points = values.count(arg, next(), 1);
     } else if (arg == "--threads") {
-      runtime::ThreadPool::set_default_threads(
-          static_cast<std::size_t>(std::stoul(next())));
+      runtime::ThreadPool::set_default_threads(values.count(arg, next()));
     } else if (arg == "--batch") {
       try {
         stats::set_default_batch(stats::parse_batch(next(), "--batch"));
@@ -177,7 +189,13 @@ int main(int argc, char** argv) {
   opt.tstop = tstop;
   opt.dt = dt;
   if (on_failure == "retry") opt.recovery.max_dt_retries = 3;
-  const auto res = session->run_transient(opt);
+  spice::TransientResult res;
+  try {
+    res = session->run_transient(opt);
+  } catch (const sim::SimulationError& e) {
+    obs_cli.finish("lcsf_sim");
+    return classified_failure(e);
+  }
   if (!res.converged) {
     std::fprintf(stderr,
                  "lcsf_sim: simulation failed: %s [%s] (t = %g, "

@@ -59,8 +59,9 @@
 // 3-deep dt-halving budget before it may fail. With skip/retry a
 // classified failure table is printed after the statistics.
 //
-// An unknown option is rejected with a diagnostic + usage and exit
-// status 1; a malformed invocation (missing required values) exits 2.
+// An unknown option or a malformed numeric value (`--samples abc`) is
+// rejected with a diagnostic + usage and exit status 1; a malformed
+// invocation (missing required values) exits 2.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -68,6 +69,7 @@
 #include <string>
 
 #include "api/session.hpp"
+#include "flag_values.hpp"
 #include "obs_cli.hpp"
 #include "stats/yield.hpp"
 
@@ -129,6 +131,7 @@ int main(int argc, char** argv) {
   bool graph_mode = false;
   std::size_t top_k = 8;
   tools::ObsCli obs_cli;
+  const tools::FlagValues values("lcsf_sta", print_usage);
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -139,23 +142,23 @@ int main(int argc, char** argv) {
     if (arg == "--circuit") {
       circuit_name = next();
     } else if (arg == "--elements") {
-      elements = std::stoul(next());
+      elements = values.count(arg, next());
     } else if (arg == "--samples") {
-      samples = std::stoul(next());
+      samples = values.count(arg, next());
     } else if (arg == "--seed") {
-      seed = std::stoull(next());
+      seed = values.count(arg, next());
     } else if (arg == "--std-dl") {
-      std_dl = std::stod(next());
+      std_dl = values.real(arg, next());
     } else if (arg == "--std-vt") {
-      std_vt = std::stod(next());
+      std_vt = values.real(arg, next());
     } else if (arg == "--rho") {
-      rho = std::stod(next());
+      rho = values.real(arg, next());
     } else if (arg == "--corner") {
       corner = true;
     } else if (arg == "--yield-target") {
-      yield_target = std::stod(next());
+      yield_target = values.real(arg, next());
     } else if (arg == "--threads") {
-      threads = std::stoul(next());
+      threads = values.count(arg, next());
     } else if (arg == "--batch") {
       try {
         batch = stats::parse_batch(next(), "--batch");
@@ -165,13 +168,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--yield-estimator") {
       yield_estimator = next();
     } else if (arg == "--clock-period") {
-      clock_period = std::stod(next());
+      clock_period = values.real(arg, next());
     } else if (arg == "--is-pilot") {
-      is_pilot = std::stoul(next());
+      is_pilot = values.count(arg, next());
     } else if (arg == "--graph") {
       graph_mode = true;
     } else if (arg == "--top-k") {
-      top_k = std::stoul(next());
+      top_k = values.count(arg, next(), 1);
     } else if (arg == "--on-failure") {
       on_failure = next();
     } else if (arg.rfind("--on-failure=", 0) == 0) {
@@ -244,13 +247,14 @@ int main(int argc, char** argv) {
                 analyzer.subgraph_gates().size(), analyzer.num_blocks(),
                 analyzer.endpoint_nets().size());
 
-    stats::MonteCarloResult mc;
+    api::GraphResult g;
     try {
-      mc = session->run_monte_carlo(model, run_opt);
+      g = session->run_graph(model, run_opt);
     } catch (const sim::SimulationError& e) {
       obs_cli.finish("lcsf_sta");
       return classified_failure(e);
     }
+    const stats::MonteCarloResult& mc = g.mc;
     if (mc.failures.any()) {
       std::printf("sample failures: %zu of %zu attempted\n%s\n",
                   mc.failures.failed(), mc.failures.attempted,
@@ -271,15 +275,10 @@ int main(int argc, char** argv) {
 
     // Nominal-sample endpoint report + the stage-reuse counters (the same
     // numbers accumulate into stats.graph.* for --metrics).
-    core::GraphAnalyzer::Workspace ws;
-    const numeric::Vector w0(analyzer.sources(model).size(), 0.0);
-    const auto nominal =
-        analyzer.evaluate(analyzer.sample_from_sources(model, w0), ws);
-    const auto analytic = analyzer.analytic_endpoints(model);
     std::printf("endpoints (nominal sample | analytic SSTA):\n");
-    for (std::size_t k = 0; k < nominal.endpoints.size(); ++k) {
-      const auto& e = nominal.endpoints[k];
-      const auto& a = analytic[k].arrival;
+    for (std::size_t k = 0; k < g.nominal.endpoints.size(); ++k) {
+      const auto& e = g.nominal.endpoints[k];
+      const auto& a = g.analytic[k].arrival;
       std::printf("  net %4zu: %.2f ps slew %.2f ps | mean %.2f ps "
                   "std %.2f ps\n",
                   e.net, e.delay * 1e12, e.slew * 1e12, a.mean * 1e12,
@@ -287,9 +286,9 @@ int main(int argc, char** argv) {
     }
     std::printf("stage reuse per sample: %zu simulated, %zu cache hits, "
                 "%zu merges (%zu path-stages)\n",
-                nominal.stages_simulated, nominal.stage_cache_hits,
-                nominal.merges,
-                nominal.stages_simulated + nominal.stage_cache_hits);
+                g.nominal.stages_simulated, g.nominal.stage_cache_hits,
+                g.nominal.merges,
+                g.nominal.stages_simulated + g.nominal.stage_cache_hits);
 
     std::printf("\ndelay histogram:\n%s",
                 stats::Histogram::from_data(mc.values, 12).render(40).c_str());
