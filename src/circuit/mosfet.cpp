@@ -27,17 +27,15 @@ MosOperatingPoint level1_forward(double beta, double lambda, double vgst,
   if (vgst <= 0.0) {
     return op;  // cutoff: ids = gm = gds = 0
   }
+  op.ids = level1_ids(beta, lambda, vgst, vds);
+  const double clm = 1.0 + lambda * vds;
   if (vds < vgst) {
     // Triode region.
-    const double clm = 1.0 + lambda * vds;
-    op.ids = beta * (vgst * vds - 0.5 * vds * vds) * clm;
     op.gm = beta * vds * clm;
     op.gds = beta * ((vgst - vds) * clm +
                      lambda * (vgst * vds - 0.5 * vds * vds));
   } else {
     // Saturation.
-    const double clm = 1.0 + lambda * vds;
-    op.ids = 0.5 * beta * vgst * vgst * clm;
     op.gm = beta * vgst * clm;
     op.gds = 0.5 * beta * vgst * vgst * lambda;
   }

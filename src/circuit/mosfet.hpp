@@ -57,6 +57,20 @@ struct MosOperatingPoint {
   double gds = 0.0;  ///< d ids / d vds
 };
 
+/// Level-1 drain current of an NMOS-normalized device with vds >= 0,
+/// beta = kp*w/leff and vgst = vgs - vt. Written branch-free (both region
+/// values computed, then selected) so the lockstep SoA engine can evaluate
+/// it across lanes as vector selects; the selected value is the same IEEE
+/// expression either way, so mosfet_eval and the lane kernel agree bitwise.
+inline double level1_ids(double beta, double lambda, double vgst,
+                         double vds) {
+  const double clm = 1.0 + lambda * vds;
+  const double triode = beta * (vgst * vds - 0.5 * vds * vds) * clm;
+  const double sat = 0.5 * beta * vgst * vgst * clm;
+  const double on = vds < vgst ? triode : sat;
+  return vgst <= 0.0 ? 0.0 : on;  // cutoff
+}
+
 /// Evaluate the level-1 equations at terminal voltages (vg, vd, vs).
 /// Handles source/drain swap for reverse conduction and the PMOS mirror.
 MosOperatingPoint mosfet_eval(const Mosfet& m, double vg, double vd,

@@ -1,6 +1,7 @@
 #include "core/stage_model.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -247,19 +248,26 @@ void measure_stage_batch(const StageModel& st,
   }
 
   // Per-lane stage circuits, built exactly as simulate_stage_model does.
+  // A lane whose build throws (a sampled channel-length reduction that
+  // leaves a non-positive effective length) falls back: the scalar ladder
+  // hits the same throw and classifies it.
   bws.stages.clear();
   bws.stages.resize(nl);
   for (std::size_t l = 0; l < nl; ++l) {
     if (bws.fallback[l] != 0) continue;
     teta::StageCircuit& stage = bws.stages[l];
-    const std::size_t sout = stage.add_port();
-    (void)stage.add_port();  // far port (receiver side), observed
-    const std::size_t in = stage.add_input(*inputs[l]);
-    const std::size_t vdd = stage.add_rail(tech.vdd);
-    const std::size_t gnd = stage.add_rail(0.0);
-    timing::instantiate_cell(*st.cell, tech, stage, sout, in, vdd, gnd,
-                             *devs[l]);
-    stage.freeze_device_capacitances();
+    try {
+      const std::size_t sout = stage.add_port();
+      (void)stage.add_port();  // far port (receiver side), observed
+      const std::size_t in = stage.add_input(*inputs[l]);
+      const std::size_t vdd = stage.add_rail(tech.vdd);
+      const std::size_t gnd = stage.add_rail(0.0);
+      timing::instantiate_cell(*st.cell, tech, stage, sout, in, vdd, gnd,
+                               *devs[l]);
+      stage.freeze_device_capacitances();
+    } catch (const std::runtime_error&) {
+      bws.fallback[l] = 1;
+    }
   }
 
   // Lockstep leg at window scale 1.0 (the retry ladder's first rung).

@@ -82,15 +82,15 @@ void LuFactorization::solve_into(const Vector& b, Vector& x) const {
   }
 }
 
-void LuFactorization::solve_into_strided(const double* b, double* x,
-                                         std::size_t stride,
-                                         Vector& scratch_b,
-                                         Vector& scratch_x) const {
+void LuFactorization::pack_lane(double* lu, std::size_t* piv,
+                                std::size_t lane, std::size_t lanes) const {
   const std::size_t n = size();
-  scratch_b.resize(n);
-  for (std::size_t i = 0; i < n; ++i) scratch_b[i] = b[i * stride];
-  solve_into(scratch_b, scratch_x);
-  for (std::size_t i = 0; i < n; ++i) x[i * stride] = scratch_x[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    piv[i * lanes + lane] = piv_[i];
+    for (std::size_t j = 0; j < n; ++j) {
+      lu[(i * n + j) * lanes + lane] = lu_(i, j);
+    }
+  }
 }
 
 Matrix LuFactorization::solve(const Matrix& b) const {

@@ -43,12 +43,12 @@ class LuFactorization {
                   Vector& col_x) const;
   /// Solve A^T x = b (needed for adjoint sensitivity computations).
   Vector solve_transposed(const Vector& b) const;
-  /// Strided-batch solve for SoA lane storage: element i of the RHS lives
-  /// at b[i*stride] and the solution is scattered to x[i*stride] (b and x
-  /// must not alias). Gathers through the caller's dense scratch vectors,
-  /// runs solve_into, and scatters back -- bitwise identical to solve().
-  void solve_into_strided(const double* b, double* x, std::size_t stride,
-                          Vector& scratch_b, Vector& scratch_x) const;
+  /// Scatter the factors and pivots into slot `lane` of lane-inner
+  /// buffers for `lanes` systems of size(): lu[(i*n + j)*lanes + lane],
+  /// piv[i*lanes + lane]. The packed form feeds lu_solve_batch
+  /// (numeric/matrix.hpp), which then equals solve_into() per lane.
+  void pack_lane(double* lu, std::size_t* piv, std::size_t lane,
+                 std::size_t lanes) const;
 
   /// det(A), with pivoting sign folded in.
   double determinant() const;

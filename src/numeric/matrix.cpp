@@ -281,10 +281,34 @@ void mul_into_batch(const Matrix* const* a, std::size_t rows,
   }
 }
 
-void gemm_into_batch(const Matrix* const* a, const Matrix* const* b,
-                     Matrix* const* c, std::size_t lanes) {
-  for (std::size_t l = 0; l < lanes; ++l) {
-    gemm_into(*a[l], *b[l], *c[l]);
+void lu_solve_batch(const double* lu, const std::size_t* piv, std::size_t n,
+                    const double* b, double* x, std::size_t lanes) {
+  // Forward substitution L y = P b. solve_into accumulates each row in a
+  // scalar s = b[piv[i]] - sum_j; here x[i] is that accumulator, updated
+  // in the same ascending-j order per lane.
+  for (std::size_t i = 0; i < n; ++i) {
+    double* xi = x + i * lanes;
+    const std::size_t* pi = piv + i * lanes;
+    for (std::size_t l = 0; l < lanes; ++l) xi[l] = b[pi[l] * lanes + l];
+    for (std::size_t j = 0; j < i; ++j) {
+      const double* lij = lu + (i * n + j) * lanes;
+      const double* xj = x + j * lanes;
+      LCSF_SIMD_LOOP
+      for (std::size_t l = 0; l < lanes; ++l) xi[l] -= lij[l] * xj[l];
+    }
+  }
+  // Back substitution U x = y, then the division by the pivot.
+  for (std::size_t ii = n; ii-- > 0;) {
+    double* xi = x + ii * lanes;
+    for (std::size_t j = ii + 1; j < n; ++j) {
+      const double* uij = lu + (ii * n + j) * lanes;
+      const double* xj = x + j * lanes;
+      LCSF_SIMD_LOOP
+      for (std::size_t l = 0; l < lanes; ++l) xi[l] -= uij[l] * xj[l];
+    }
+    const double* uii = lu + (ii * n + ii) * lanes;
+    LCSF_SIMD_LOOP
+    for (std::size_t l = 0; l < lanes; ++l) xi[l] /= uii[l];
   }
 }
 

@@ -150,10 +150,15 @@ void mul_into_batch(const Matrix* const* a, std::size_t rows,
                     std::size_t cols, const double* x, double* y,
                     std::size_t lanes);
 
-/// Batched gemm: c[l] <- a[l] * b[l] for each lane, with the loop order
-/// and exact-zero skip of gemm_into (bitwise identical per lane).
-void gemm_into_batch(const Matrix* const* a, const Matrix* const* b,
-                     Matrix* const* c, std::size_t lanes);
+/// Batched LU solve over `lanes` SoA lanes, each with its own n x n
+/// factorization packed by LuFactorization::pack_lane (lu[(i*n+j)*lanes+l],
+/// piv[i*lanes+l]): x[i*lanes+l] solves lane l's system for right-hand
+/// side b[.*lanes+l]. Each lane gathers b through its own pivots, then runs
+/// the forward and back substitution of LuFactorization::solve_into in the
+/// same order, so the result equals solve_into() per lane bitwise. x must
+/// not alias b.
+void lu_solve_batch(const double* lu, const std::size_t* piv, std::size_t n,
+                    const double* b, double* x, std::size_t lanes);
 
 /// Congruence product X^T A X — the kernel of projection-based MOR.
 Matrix congruence(const Matrix& x, const Matrix& a);

@@ -14,15 +14,16 @@
 namespace lcsf::teta {
 
 using circuit::Mosfet;
-using numeric::Matrix;
 using numeric::Vector;
 
 namespace {
 
 /// Lanes run in lockstep only when every per-step loop has identical trip
 /// counts and index maps: same node kinds (hence the same unknown map),
-/// same device terminals, same capacitor endpoints, same pole count.
-/// Parameter *values* (chords, caps, residues) are free to differ.
+/// same device terminals and polarities (the device kernel takes the
+/// NMOS/PMOS sign from the reference lane), same capacitor endpoints, same
+/// pole count. Parameter *values* (chords, caps, residues) are free to
+/// differ.
 bool same_shape(const StageCircuit& a, const StageCircuit& b,
                 const mor::PoleResidueModel& la,
                 const mor::PoleResidueModel& lb) {
@@ -40,7 +41,7 @@ bool same_shape(const StageCircuit& a, const StageCircuit& b,
     const Mosfet& ma = a.mosfets()[d];
     const Mosfet& mb = b.mosfets()[d];
     if (ma.drain != mb.drain || ma.gate != mb.gate ||
-        ma.source != mb.source) {
+        ma.source != mb.source || ma.type != mb.type) {
       return false;
     }
   }
@@ -111,6 +112,7 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
     const std::size_t nk = rws.conv.num_poles();
     const std::size_t nck = rws.chord_known.size();
     const std::size_t ncp = rws.caps.size();
+    const std::size_t nd = rstage.mosfets().size();
     const double dt = opt.dt;
     const double clamp = opt.damping_frac * opt.vdd;
 
@@ -142,6 +144,15 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
     bws.cap_geq.resize(ncp * B);
     bws.cap_u.resize(ncp * B);
     bws.cap_i.resize(ncp * B);
+    bws.lu.resize(n * n * B);
+    bws.piv.resize(n * B);
+    bws.vnode.resize(nn * B);
+    bws.jn.resize(B);
+    bws.dmax.resize(B);
+    bws.dev_beta.resize(nd * B);
+    bws.dev_vth.resize(nd * B);
+    bws.dev_lambda.resize(nd * B);
+    bws.dev_chord.resize(nd * B);
     bws.y_h.resize(B);
     bws.alive.assign(B, 1);
     bws.sc_done.resize(B);
@@ -196,6 +207,17 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
         bws.cap_i[c * B + b] = w.caps[c].i_prev;
       }
       bws.y_h[b] = &w.y_h;
+      // The one transient factorization, and the per-device constants of
+      // mosfet_eval (beta and vt0 + delta_vt exactly as it forms them).
+      w.lu_tr.pack_lane(bws.lu.data(), bws.piv.data(), b, B);
+      const StageCircuit& stg = *lanes[bws.live[b]].stage;
+      for (std::size_t d = 0; d < nd; ++d) {
+        const Mosfet& m = stg.mosfets()[d];
+        bws.dev_beta[d * B + b] = m.model.kp * m.w / m.leff();
+        bws.dev_vth[d * B + b] = m.model.vt0 + m.delta_vt;
+        bws.dev_lambda[d * B + b] = m.model.lambda;
+        bws.dev_chord[d * B + b] = w.chords[d];
+      }
     }
 
     const auto nsteps =
@@ -320,9 +342,12 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
         for (std::size_t b = 0; b < B; ++b) rc[b] += yh[b];
       }
 
-      // Successive-chords iteration, per lane (device evaluation and the
-      // triangular solves are inherently per-sample); each lane iterates
-      // exactly as the scalar engine would and drops out when converged.
+      // Successive-chords iteration, lane-inner: every pass builds the
+      // node voltages, evaluates the Shichman-Hodges currents, stamps the
+      // Norton sources and runs the packed LU substitution for all B
+      // lanes at once. A lane that has converged stays frozen under the
+      // pending mask while its neighbours keep iterating, so each lane
+      // runs exactly the scalar engine's iteration count and operations.
       for (std::size_t b = 0; b < B; ++b) bws.sc_done[b] = !bws.alive[b];
       for (int it = 0; it < opt.max_sc_iters; ++it) {
         bool pending = false;
@@ -330,44 +355,81 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
           pending = pending || bws.sc_done[b] == 0;
         }
         if (!pending) break;
+        std::copy(bws.rhs_const.begin(), bws.rhs_const.end(),
+                  bws.rhs.begin());
+        for (std::size_t node = 0; node < nn; ++node) {
+          const int u = node_to_unknown[node];
+          const double* src =
+              u >= 0 ? &bws.x[static_cast<std::size_t>(u) * B]
+                     : &bws.vknown[node * B];
+          std::copy(src, src + B, &bws.vnode[node * B]);
+        }
+        // Device Norton currents j = ids(v) - G_ch (vd - vs), as in the
+        // scalar add_device_norton; mosfet_eval's source/drain swap and
+        // PMOS mirror become selects. Polarity is per device, not per
+        // lane (same_shape compares it).
+        for (std::size_t d = 0; d < nd; ++d) {
+          const Mosfet& m = rstage.mosfets()[d];
+          const double sign = m.type == circuit::MosType::kNmos ? 1.0 : -1.0;
+          const bool pmos = m.type == circuit::MosType::kPmos;
+          const double* vg = &bws.vnode[static_cast<std::size_t>(m.gate) * B];
+          const double* vd = &bws.vnode[static_cast<std::size_t>(m.drain) * B];
+          const double* vs =
+              &bws.vnode[static_cast<std::size_t>(m.source) * B];
+          const double* beta = &bws.dev_beta[d * B];
+          const double* vth = &bws.dev_vth[d * B];
+          const double* lam = &bws.dev_lambda[d * B];
+          const double* ch = &bws.dev_chord[d * B];
+          double* jn = bws.jn.data();
+          LCSF_SIMD_LOOP
+          for (std::size_t b = 0; b < B; ++b) {
+            const double nvg = sign * vg[b];
+            const double nvd0 = sign * vd[b];
+            const double nvs0 = sign * vs[b];
+            const bool swapped = nvd0 < nvs0;
+            const double nvd = swapped ? nvs0 : nvd0;
+            const double nvs = swapped ? nvd0 : nvs0;
+            const double vgst = nvg - nvs - vth[b];
+            const double vds = nvd - nvs;
+            const double idf = circuit::level1_ids(beta[b], lam[b], vgst, vds);
+            const double idn = swapped ? -idf : idf;
+            const double ids = pmos ? -idn : idn;
+            jn[b] = ids - ch[b] * (vd[b] - vs[b]);
+          }
+          const int ud = node_to_unknown[static_cast<std::size_t>(m.drain)];
+          const int us = node_to_unknown[static_cast<std::size_t>(m.source)];
+          if (ud >= 0) {
+            double* r = &bws.rhs[static_cast<std::size_t>(ud) * B];
+            LCSF_SIMD_LOOP
+            for (std::size_t b = 0; b < B; ++b) r[b] -= jn[b];
+          }
+          if (us >= 0) {
+            double* r = &bws.rhs[static_cast<std::size_t>(us) * B];
+            LCSF_SIMD_LOOP
+            for (std::size_t b = 0; b < B; ++b) r[b] += jn[b];
+          }
+        }
+        numeric::lu_solve_batch(bws.lu.data(), bws.piv.data(), n,
+                                bws.rhs.data(), bws.xn.data(), B);
+        // Damped update, masked to the lanes still pending.
+        std::fill(bws.dmax.begin(), bws.dmax.end(), 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          double* xi = &bws.x[i * B];
+          const double* xni = &bws.xn[i * B];
+          double* dmax = bws.dmax.data();
+          const unsigned char* done = bws.sc_done.data();
+          LCSF_SIMD_LOOP
+          for (std::size_t b = 0; b < B; ++b) {
+            const double d = xni[b] - xi[b];
+            dmax[b] = std::max(dmax[b], std::abs(d));
+            const double next = xi[b] + std::clamp(d, -clamp, clamp);
+            xi[b] = done[b] != 0 ? xi[b] : next;
+          }
+        }
         for (std::size_t b = 0; b < B; ++b) {
           if (bws.sc_done[b]) continue;
-          const BatchLane& ln = lanes[bws.live[b]];
-          const StageCircuit& stg = *ln.stage;
-          TetaWorkspace& w = *ln.ws;
-          for (std::size_t i = 0; i < n; ++i) {
-            bws.rhs[i * B + b] = bws.rhs_const[i * B + b];
-          }
-          Vector& vn = w.vnode;
-          vn.resize(nn);
-          for (std::size_t node = 0; node < nn; ++node) {
-            const int u = node_to_unknown[node];
-            vn[node] = u >= 0 ? bws.x[static_cast<std::size_t>(u) * B + b]
-                              : bws.vknown[node * B + b];
-          }
-          for (std::size_t d = 0; d < stg.mosfets().size(); ++d) {
-            const Mosfet& m = stg.mosfets()[d];
-            const double vg = vn[static_cast<std::size_t>(m.gate)];
-            const double vd = vn[static_cast<std::size_t>(m.drain)];
-            const double vs = vn[static_cast<std::size_t>(m.source)];
-            const double ids = circuit::mosfet_eval(m, vg, vd, vs).ids;
-            const double j = ids - w.chords[d] * (vd - vs);
-            const int ud = node_to_unknown[static_cast<std::size_t>(m.drain)];
-            const int us =
-                node_to_unknown[static_cast<std::size_t>(m.source)];
-            if (ud >= 0) bws.rhs[static_cast<std::size_t>(ud) * B + b] -= j;
-            if (us >= 0) bws.rhs[static_cast<std::size_t>(us) * B + b] += j;
-          }
-          w.lu_tr.solve_into_strided(&bws.rhs[b], &bws.xn[b], B, w.rhs,
-                                     w.xn);
-          double dmax = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            const double d = bws.xn[i * B + b] - bws.x[i * B + b];
-            dmax = std::max(dmax, std::abs(d));
-            bws.x[i * B + b] += std::clamp(d, -clamp, clamp);
-          }
-          ++ln.out->total_sc_iterations;
-          if (dmax < opt.vtol) bws.sc_done[b] = 1;
+          ++lanes[bws.live[b]].out->total_sc_iterations;
+          if (bws.dmax[b] < opt.vtol) bws.sc_done[b] = 1;
         }
       }
       for (std::size_t b = 0; b < B; ++b) {

@@ -6,13 +6,21 @@
 // lockstep with every per-step kernel (recursive-convolution history,
 // state advance, RHS assembly, capacitor companions) expressed over
 // lane-inner structure-of-arrays buffers, so the compiler vectorizes
-// across samples (numeric/simd.hpp).
+// across samples (numeric/simd.hpp). The successive-chord iteration is
+// lane-inner too: each lane's transient LU and device constants are
+// packed once per transient, and every iteration evaluates the devices,
+// stamps the Norton currents and runs the packed LU substitution
+// (numeric::lu_solve_batch) for all lanes at once, with converged lanes
+// frozen under a pending mask until the slowest lane is done.
 //
 // Contract: results are bitwise identical to running teta::simulate_stage
 // on each lane separately. This holds because
 //   * setup/DC *is* the scalar code (shared, not duplicated);
 //   * the per-step kernels perform the same double operations in the same
-//     order per lane -- complex arithmetic is expanded to the
+//     order per lane -- the drain current is the one inline
+//     circuit::level1_ids that mosfet_eval uses, its region and
+//     source/drain-swap branches become selects of identically computed
+//     values, and complex arithmetic is expanded to the
 //     (ac - bd, ad + bc) component form, which is GCC's fast path for
 //     finite operands (the only case a converging transient produces);
 //   * coefficients involving complex divisions are copied bit-for-bit
@@ -58,6 +66,13 @@ struct BatchTetaWorkspace {
   std::vector<double> ip;            // committed port current, [j * B + b]
   std::vector<double> ck_g;          // known-chord conductance, [c * B + b]
   std::vector<double> cap_geq, cap_u, cap_i;  // cap companions, [c * B + b]
+  std::vector<double> lu;            // packed lu_tr, [(i*n + j)*B + b]
+  std::vector<std::size_t> piv;      // packed lu_tr pivots, [i * B + b]
+  std::vector<double> vnode;         // SC node voltages, [node * B + b]
+  std::vector<double> jn, dmax;      // device Norton current, max step, [b]
+  // mosfet_eval constants per device, [d * B + b]: kp*w/leff,
+  // vt0 + delta_vt, lambda, and the chord conductance.
+  std::vector<double> dev_beta, dev_vth, dev_lambda, dev_chord;
   std::vector<const numeric::Matrix*> y_h;    // per live slot
   std::vector<std::size_t> known_nodes;       // nodes with known voltage
   std::vector<std::size_t> live;              // lane index per SoA slot

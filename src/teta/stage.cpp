@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "numeric/fp_compare.hpp"
@@ -662,7 +663,40 @@ std::vector<std::pair<double, double>> compress_pwl(
   std::vector<std::pair<double, double>> out;
   out.push_back(samples.front());
   std::size_t anchor = 0;
+  // Exact fast accept. While the segment anchor..k has strictly
+  // increasing finite times (with a finite t_k - t_anchor, so every
+  // interpolation fraction lies in [0, 1]) and finite values spanning at
+  // most `span`, every chord interpolant is a convex combination of two
+  // of those values, so |lin - vm| <= span plus a rounding error of a few
+  // ulps of the values. When that bound is below vtol by a clear margin
+  // every check of the scan below passes, and skipping it yields the same
+  // breakpoints; flat tails then cost O(1) per sample, not O(segment).
+  double lo = 0.0;
+  double hi = 0.0;
+  bool clean = false;
+  auto restart = [&](std::size_t a) {
+    lo = hi = samples[a].second;
+    clean = std::isfinite(samples[a].first) && std::isfinite(lo);
+  };
+  auto extend = [&](std::size_t k) {
+    const double v = samples[k].second;
+    clean = clean && samples[k].first > samples[k - 1].first &&
+            std::isfinite(samples[k].first) && std::isfinite(v);
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  };
+  const double accept = vtol * (1.0 - 1e-9) - 1e-15;
+  restart(0);
+  extend(1);
   for (std::size_t k = 2; k < samples.size(); ++k) {
+    extend(k);
+    const double span = hi - lo;
+    const double mag = std::max(std::abs(lo), std::abs(hi));
+    if (clean && std::isfinite(samples[k].first - samples[anchor].first) &&
+        span + 4.0 * std::numeric_limits<double>::epsilon() * (span + mag) <=
+            accept) {
+      continue;
+    }
     // Check all samples strictly between anchor and k against the chord.
     const auto [t0, v0] = samples[anchor];
     const auto [t1, v1] = samples[k];
@@ -676,6 +710,8 @@ std::vector<std::pair<double, double>> compress_pwl(
     if (!within) {
       anchor = k - 1;
       out.push_back(samples[anchor]);
+      restart(anchor);
+      extend(k);
     }
   }
   out.push_back(samples.back());

@@ -1,17 +1,21 @@
 // Batched (SoA) Monte-Carlo hot path: bitwise equivalence against the
 // scalar engine across batch widths and thread counts, the dispatch
-// counters, fail-soft parity of the batch dispatcher, and the
-// strided-batch numeric kernels. See docs/performance.md.
+// counters, fail-soft parity of the batch dispatcher, the strided-batch
+// numeric kernels, and the lockstep TETA engine lane by lane against
+// scalar simulate_stage. See docs/performance.md.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <set>
 
+#include "circuit/technology.hpp"
 #include "core/path.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/matrix.hpp"
 #include "obs/registry.hpp"
 #include "stats/runner.hpp"
+#include "teta/batch.hpp"
 
 namespace lcsf::core {
 namespace {
@@ -239,26 +243,244 @@ TEST(BatchHotpath, NumericKernelsMatchScalarBitwise) {
     }
   }
 
-  // solve_into_strided scatters the exact solve_into solution.
+  // lu_solve_batch over packed per-lane factorizations == solve_into on
+  // each lane. The dominant entry of column j sits in a lane-dependent
+  // row, so partial pivoting picks a different row order in every lane
+  // and the per-lane pivot gather is exercised.
   {
-    Matrix a(kRows, kRows);
-    for (std::size_t i = 0; i < kRows; ++i) {
-      for (std::size_t j = 0; j < kRows; ++j) a(i, j) = rnd();
-      a(i, i) += 4.0;  // keep it comfortably nonsingular
-    }
-    const numeric::LuFactorization lu(a);
-    std::vector<double> b(kRows * kLanes), x(kRows * kLanes, 0.0);
-    for (auto& v : b) v = rnd();
-    Vector sb(kRows), sx(kRows), bl(kRows), xl(kRows);
+    constexpr std::size_t kN = 5;
+    std::vector<numeric::LuFactorization> lus;
     for (std::size_t l = 0; l < kLanes; ++l) {
-      lu.solve_into_strided(&b[l], &x[l], kLanes, sb, sx);
-      for (std::size_t i = 0; i < kRows; ++i) bl[i] = b[i * kLanes + l];
-      lu.solve_into(bl, xl);
-      for (std::size_t i = 0; i < kRows; ++i) {
+      Matrix a(kN, kN);
+      for (std::size_t i = 0; i < kN; ++i) {
+        for (std::size_t j = 0; j < kN; ++j) a(i, j) = rnd();
+      }
+      for (std::size_t j = 0; j < kN; ++j) a((j * (l + 1) + l) % kN, j) += 8.0;
+      lus.emplace_back(a);
+    }
+    std::vector<double> lu(kN * kN * kLanes);
+    std::vector<std::size_t> piv(kN * kLanes);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      lus[l].pack_lane(lu.data(), piv.data(), l, kLanes);
+    }
+    std::set<std::vector<std::size_t>> orders;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      std::vector<std::size_t> order(kN);
+      for (std::size_t i = 0; i < kN; ++i) order[i] = piv[i * kLanes + l];
+      orders.insert(order);
+    }
+    ASSERT_GE(orders.size(), 4u) << "pivot orders must differ across lanes";
+
+    std::vector<double> b(kN * kLanes), x(kN * kLanes, 0.0);
+    for (auto& v : b) v = rnd();
+    numeric::lu_solve_batch(lu.data(), piv.data(), kN, b.data(), x.data(),
+                            kLanes);
+    Vector bl(kN), xl(kN);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      for (std::size_t i = 0; i < kN; ++i) bl[i] = b[i * kLanes + l];
+      lus[l].solve_into(bl, xl);
+      for (std::size_t i = 0; i < kN; ++i) {
         EXPECT_EQ(x[i * kLanes + l], xl[i]) << "lane " << l << " row " << i;
       }
     }
   }
+}
+
+// A sampled channel-length reduction past the drawn length makes stage
+// construction throw (non-positive effective length). The batched driver
+// must classify that sample exactly as the scalar ladder does -- a kOther
+// failure under kSkip -- instead of letting the throw escape the block.
+TEST(BatchHotpath, NonPositiveLeffSkipParity) {
+  PathAnalyzer pa(small_path_spec());
+  PathVariationModel model;
+  model.std_dl = 8.0;
+  stats::RunOptions opt;
+  opt.samples = 20;
+  opt.seed = 3;
+  opt.exec.threads = 1;
+  opt.exec.on_failure = stats::FailurePolicy::kSkip;
+  opt.exec.batch = 1;
+  const auto ref = pa.monte_carlo(model, opt);
+  std::size_t leff_failures = 0;
+  for (const auto& f : ref.failures.failures) {
+    if (f.kind == sim::FailureKind::kOther &&
+        f.detail.find("non-positive effective length") != std::string::npos) {
+      ++leff_failures;
+    }
+  }
+  ASSERT_GT(leff_failures, 0u);
+  ASSERT_GT(ref.failures.survived, 0u);
+
+  for (const std::size_t k : {std::size_t{4}, std::size_t{8}}) {
+    opt.exec.batch = k;
+    const auto got = pa.monte_carlo(model, opt);
+    EXPECT_EQ(got.values, ref.values) << "batch " << k;
+    EXPECT_EQ(got.failures.attempted, ref.failures.attempted);
+    EXPECT_EQ(got.failures.survived, ref.failures.survived);
+    ASSERT_EQ(got.failures.failures.size(), ref.failures.failures.size());
+    for (std::size_t i = 0; i < ref.failures.failures.size(); ++i) {
+      EXPECT_EQ(got.failures.failures[i].index,
+                ref.failures.failures[i].index);
+      EXPECT_EQ(got.failures.failures[i].kind, ref.failures.failures[i].kind);
+      EXPECT_EQ(got.failures.failures[i].detail,
+                ref.failures.failures[i].detail);
+    }
+  }
+}
+
+// ---- Lockstep TETA engine against scalar simulate_stage ---------------
+
+// One-port parallel RC load with the stage's port chord conductance
+// folded in (Table 1 step 2): Z(s) = r / (s - p), C = 1/r, p = -G r.
+mor::PoleResidueModel rc_load(const teta::StageCircuit& stage, double vdd) {
+  const double c = 40e-15;
+  const double g = 2e-4 + stage.port_chord_conductances(vdd)[0];
+  numeric::ComplexMatrix res(1, 1);
+  res(0, 0) = 1.0 / c;
+  return mor::PoleResidueModel(1, Matrix(1, 1),
+                               {numeric::Complex{-g / c, 0.0}}, {res});
+}
+
+// A transmission gate from the input to the port drives an inverter on an
+// internal node. The input ramps up and back down, so each pass device
+// conducts forward, then in reverse (input above the port), and cuts off
+// near its rail; the inverter devices alternate in cutoff. Per-lane
+// threshold and length shifts make the lanes converge at different
+// iteration counts.
+teta::StageCircuit tg_stage(const circuit::Technology& tech, double dvt,
+                            double dl, circuit::MosType inv_n_type) {
+  teta::StageCircuit s;
+  const auto out = static_cast<int>(s.add_port());
+  const auto mid = static_cast<int>(s.add_internal());
+  const auto in = static_cast<int>(s.add_input(circuit::SourceWaveform::pwl(
+      {{0.0, 0.0}, {40e-12, 0.0}, {120e-12, tech.vdd}, {300e-12, tech.vdd},
+       {340e-12, 0.0}})));
+  const auto vdd = static_cast<int>(s.add_rail(tech.vdd));
+  const auto gnd = static_cast<int>(s.add_rail(0.0));
+  circuit::Mosfet pass_n = tech.make_nmos(out, vdd, in, 6.0);
+  circuit::Mosfet pass_p = tech.make_pmos(out, gnd, in, 12.0);
+  circuit::Mosfet inv_n = tech.make_nmos(mid, out, gnd, 4.0);
+  circuit::Mosfet inv_p = tech.make_pmos(mid, out, vdd, 8.0);
+  inv_n.type = inv_n_type;
+  for (circuit::Mosfet* m : {&pass_n, &pass_p, &inv_n, &inv_p}) {
+    m->delta_vt = dvt;
+    m->delta_l = dl;
+    s.add_mosfet(*m);
+  }
+  s.freeze_device_capacitances();
+  return s;
+}
+
+teta::TetaOptions tg_options(const circuit::Technology& tech) {
+  teta::TetaOptions opt;
+  opt.tstop = 500e-12;
+  opt.dt = 2e-12;
+  opt.vdd = tech.vdd;
+  return opt;
+}
+
+// Run `stages` through simulate_stage_batch and, separately, through the
+// scalar engine; every lane must agree bitwise, and exactly
+// `scalar_lanes` lanes may have left the lockstep block for the scalar
+// engine (a wrong lane kernel would otherwise hide behind the scalar
+// rerun of a lane it made diverge). Returns the per-lane scalar results.
+std::vector<teta::TetaResult> expect_batch_matches_scalar(
+    const std::vector<teta::StageCircuit>& stages,
+    const std::vector<mor::PoleResidueModel>& loads,
+    const teta::TetaOptions& opt, std::uint64_t scalar_lanes) {
+  const std::size_t nl = stages.size();
+  std::vector<teta::TetaWorkspace> ws(nl);
+  std::vector<teta::TetaResult> got(nl), want(nl);
+  std::vector<teta::BatchLane> lanes;
+  for (std::size_t l = 0; l < nl; ++l) {
+    lanes.push_back({&stages[l], &loads[l], &ws[l], &got[l]});
+  }
+  teta::BatchTetaWorkspace bws;
+  obs::Registry reg;
+  {
+    obs::ScopedContext ctx(&reg, 0);
+    teta::simulate_stage_batch(lanes, opt, bws);
+  }
+  const auto timers = reg.snapshot().timers;
+  const auto scalar = timers.find("teta.stage_batch/teta.stage");
+  EXPECT_EQ(scalar == timers.end() ? 0u : scalar->second.count, scalar_lanes);
+  for (std::size_t l = 0; l < nl; ++l) {
+    teta::TetaWorkspace sws;
+    teta::simulate_stage(stages[l], loads[l], opt, sws, want[l]);
+    EXPECT_EQ(got[l].converged, want[l].converged) << "lane " << l;
+    EXPECT_EQ(got[l].total_sc_iterations, want[l].total_sc_iterations)
+        << "lane " << l;
+    EXPECT_EQ(got[l].diag.kind, want[l].diag.kind) << "lane " << l;
+    EXPECT_EQ(got[l].diag.iterations, want[l].diag.iterations);
+    EXPECT_EQ(got[l].diag.retries_used, want[l].diag.retries_used);
+    EXPECT_EQ(got[l].diag.detail, want[l].diag.detail);
+    EXPECT_EQ(got[l].time, want[l].time) << "lane " << l;
+    EXPECT_EQ(got[l].port_voltages, want[l].port_voltages) << "lane " << l;
+  }
+  return want;
+}
+
+TEST(BatchHotpath, LockstepLanesMatchScalarAcrossIterationCounts) {
+  const circuit::Technology tech = circuit::technology_180nm();
+  const teta::TetaOptions opt = tg_options(tech);
+  std::vector<teta::StageCircuit> stages;
+  std::vector<mor::PoleResidueModel> loads;
+  for (std::size_t l = 0; l < 6; ++l) {
+    const double x = static_cast<double>(l);
+    stages.push_back(tg_stage(tech, -0.06 + 0.025 * x, 0.004e-6 * x,
+                              circuit::MosType::kNmos));
+    loads.push_back(rc_load(stages.back(), tech.vdd));
+  }
+  const auto want = expect_batch_matches_scalar(stages, loads, opt, 0);
+
+  std::set<long> iteration_counts;
+  for (const auto& r : want) {
+    ASSERT_TRUE(r.converged);
+    iteration_counts.insert(r.total_sc_iterations);
+  }
+  EXPECT_GE(iteration_counts.size(), 3u)
+      << "lanes must converge at different iteration counts";
+
+  // The nominal lane visits reverse conduction (input above the port)
+  // and pass-device cutoff (both terminals near vdd).
+  const circuit::SourceWaveform& in = stages[2].input_wave(2);
+  bool reverse = false;
+  bool cutoff = false;
+  for (std::size_t k = 0; k < want[2].time.size(); ++k) {
+    const double vo = want[2].port_voltages[k][0];
+    const double vi = in.value(want[2].time[k]);
+    reverse = reverse || vi > vo + 0.05;
+    cutoff = cutoff || tech.vdd - std::min(vi, vo) < tech.nmos.vt0;
+  }
+  EXPECT_TRUE(reverse);
+  EXPECT_TRUE(cutoff);
+}
+
+// The device kernel takes each device's NMOS/PMOS sign from the
+// reference lane, so a lane that differs from it only in one device's
+// polarity must not run in lockstep; it is rerouted to the scalar engine
+// and still equals it.
+TEST(BatchHotpath, PolarityMismatchIsReroutedToScalar) {
+  const circuit::Technology tech = circuit::technology_180nm();
+  const teta::TetaOptions opt = tg_options(tech);
+  std::vector<teta::StageCircuit> stages;
+  std::vector<mor::PoleResidueModel> loads;
+  for (const circuit::MosType t :
+       {circuit::MosType::kNmos, circuit::MosType::kPmos,
+        circuit::MosType::kNmos}) {
+    stages.push_back(tg_stage(tech, 0.0, 0.0, t));
+    loads.push_back(rc_load(stages.back(), tech.vdd));
+  }
+  const auto want = expect_batch_matches_scalar(stages, loads, opt, 1);
+  ASSERT_TRUE(want[0].converged);
+  ASSERT_TRUE(want[1].converged);
+  // The flipped device changes the answer, so a lane evaluated with the
+  // reference lane's polarity would not have matched.
+  bool differs = false;
+  for (std::size_t k = 0; k < want[0].port_voltages.size(); ++k) {
+    differs = differs || want[0].port_voltages[k] != want[1].port_voltages[k];
+  }
+  EXPECT_TRUE(differs);
 }
 
 // --batch / LCSF_BATCH plumbing: strict parsing, classified errors, and

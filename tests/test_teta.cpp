@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 
 #include "circuit/netlist.hpp"
 #include "circuit/technology.hpp"
@@ -136,6 +138,95 @@ TEST(CompressPwl, KeepsCornersDropsCollinear) {
   for (const auto& [t, v] : samples) {
     EXPECT_NEAR(wave.value(t), v, 2e-6);
   }
+}
+
+// compress_pwl as it was before its fast accept: every candidate chord is
+// checked against every sample it spans. The production version must
+// return the identical breakpoint list.
+std::vector<std::pair<double, double>> compress_pwl_brute_force(
+    const std::vector<std::pair<double, double>>& samples, double vtol) {
+  if (samples.size() <= 2) return samples;
+  std::vector<std::pair<double, double>> out;
+  out.push_back(samples.front());
+  std::size_t anchor = 0;
+  for (std::size_t k = 2; k < samples.size(); ++k) {
+    const auto [t0, v0] = samples[anchor];
+    const auto [t1, v1] = samples[k];
+    bool within = true;
+    for (std::size_t m = anchor + 1; m < k && within; ++m) {
+      const auto [tm, vm] = samples[m];
+      const double frac = (tm - t0) / (t1 - t0);
+      const double lin = v0 + frac * (v1 - v0);
+      within = std::abs(lin - vm) <= vtol;
+    }
+    if (!within) {
+      anchor = k - 1;
+      out.push_back(samples[anchor]);
+    }
+  }
+  out.push_back(samples.back());
+  return out;
+}
+
+// Seeded property test of the fast accept: flat tails, exponential
+// settling, steps, and noise whose span sits just below, at and just
+// above vtol, on small and large offsets, plus a few degenerate inputs
+// (repeated times, non-finite values) that must fall through to the scan.
+TEST(CompressPwl, FastAcceptMatchesBruteForce) {
+  std::mt19937_64 rng(20261017);
+  std::uniform_real_distribution<double> u01(0.0, 1.0);
+  const double spans[] = {0.25, 0.5, 0.999, 1.0 - 2e-9, 1.0 - 1e-12, 1.0,
+                          1.0 + 1e-12, 1.0 + 1e-6, 2.0};
+  std::size_t cases = 0;
+  std::size_t fewer = 0;  // cases whose output drops at least one sample
+  for (int c = 0; c < 3000; ++c) {
+    const double vtol = 1.8e-4 * (c % 3 == 0 ? 1.0 : u01(rng) * 10.0);
+    const std::size_t n = 2 + static_cast<std::size_t>(u01(rng) * 400.0);
+    const double dt = 1e-12 * (0.5 + u01(rng));
+    const double offset = c % 7 == 0 ? 1e3 * u01(rng) : u01(rng) * 1.8;
+    const double span = spans[static_cast<std::size_t>(c) % 9] * vtol;
+    const int shape = c % 5;
+    const double tau = (5.0 + 60.0 * u01(rng)) * dt;
+    const double t_step = dt * static_cast<double>(n) * u01(rng);
+    std::vector<std::pair<double, double>> w;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double t = static_cast<double>(k) * dt;
+      double v = offset;
+      switch (shape) {
+        case 0:  // transition, then a flat tail
+          v += t < t_step ? 1.8 * t / (t_step + dt) : 1.8;
+          break;
+        case 1:  // exponential settling
+          v += 1.8 * (1.0 - std::exp(-t / tau));
+          break;
+        case 2:  // step
+          v += t < t_step ? 0.0 : 1.8;
+          break;
+        case 3:  // flat with bounded noise of the chosen span
+          v += span * (u01(rng) - 0.5);
+          break;
+        default:  // settling with noise on top
+          v += 1.8 * std::exp(-t / tau) + span * (u01(rng) - 0.5);
+          break;
+      }
+      w.emplace_back(t, v);
+    }
+    if (c % 97 == 0 && n > 4) w[n / 2].first = w[n / 2 - 1].first;
+    if (c % 89 == 0 && n > 4) w[n / 3].second = std::nan("");
+    if (c % 83 == 0 && n > 4) w[n / 4].second = HUGE_VAL;
+    const auto fast = compress_pwl(w, vtol);
+    const auto slow = compress_pwl_brute_force(w, vtol);
+    ASSERT_EQ(fast.size(), slow.size()) << "case " << c;
+    for (std::size_t k = 0; k < slow.size(); ++k) {
+      // Compare bits, so NaN samples compare equal to themselves.
+      ASSERT_EQ(std::memcmp(&fast[k], &slow[k], sizeof(fast[k])), 0)
+          << "case " << c << " breakpoint " << k;
+    }
+    ++cases;
+    if (slow.size() < w.size()) ++fewer;
+  }
+  EXPECT_EQ(cases, 3000u);
+  EXPECT_GT(fewer, 1000u);
 }
 
 TEST(StageCircuit, ChordConductances) {

@@ -138,7 +138,9 @@ echo "==== stage: obs ===="
 # that fixed batch width (docs/performance.md). The graph report itself
 # (nominal endpoints, analytic SSTA from the memoized block models,
 # characterized on the run's lanes) must also be byte-identical at 1 and
-# 8 threads.
+# 8 threads. Last, the s832 path report at --batch 8 must be
+# byte-identical to --batch 1: this gates the lane-inner successive-chord
+# kernel bitwise against the scalar engine on a real multi-stage path.
 OBS_DIR=build-ci-release/obs-ci
 STA=build-ci-release/tools/lcsf_sta
 SIM=build-ci-release/tools/lcsf_sim
@@ -166,6 +168,11 @@ if mkdir -p "$OBS_DIR" \
          --threads 8 --metrics "$OBS_DIR/sta_graph_t8.json" \
          > "$OBS_DIR/sta_graph_t8.txt" \
     && cmp "$OBS_DIR/sta_graph_t1.txt" "$OBS_DIR/sta_graph_t8.txt" \
+    && "$STA" --circuit s832 --samples 20 --threads 4 --batch 1 \
+         > "$OBS_DIR/sta_s832_b1.txt" \
+    && "$STA" --circuit s832 --samples 20 --threads 4 --batch 8 \
+         > "$OBS_DIR/sta_s832_b8.txt" \
+    && cmp "$OBS_DIR/sta_s832_b1.txt" "$OBS_DIR/sta_s832_b8.txt" \
     && "$SIM" examples/decks/inverter_chain.sp --tstop 1n --dt 2p \
          --points 2 --metrics "$OBS_DIR/sim.json" > /dev/null \
     && python3 tools/check_metrics.py --schema tools/metrics_schema.json \
