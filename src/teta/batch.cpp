@@ -105,14 +105,14 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
   if (B > 0) {
     const StageCircuit& rstage = *lanes[bws.live[0]].stage;
     const TetaWorkspace& rws = *lanes[bws.live[0]].ws;
-    const std::vector<int>& node_to_unknown = rws.node_to_unknown;
+    const TetaWorkspace::StepPlan& rplan = rws.plan;
     const std::size_t n = rws.x.size();
     const std::size_t np = rstage.num_ports();
     const std::size_t nn = rstage.num_nodes();
     const std::size_t nk = rws.conv.num_poles();
     const std::size_t nck = rws.chord_known.size();
     const std::size_t ncp = rws.caps.size();
-    const std::size_t nd = rstage.mosfets().size();
+    const std::size_t nd = rplan.devices.size();
     const double dt = opt.dt;
     const double clamp = opt.damping_frac * opt.vdd;
 
@@ -121,7 +121,6 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
     bws.xn.resize(n * B);
     bws.rhs.resize(n * B);
     bws.rhs_const.resize(n * B);
-    bws.vknown.assign(nn * B, 0.0);
     bws.hist.resize(np * B);
     bws.yhist.resize(np * B);
     bws.vp.resize(np * B);
@@ -146,7 +145,7 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
     bws.cap_i.resize(ncp * B);
     bws.lu.resize(n * n * B);
     bws.piv.resize(n * B);
-    bws.vnode.resize(nn * B);
+    bws.vnode.assign(nn * B, 0.0);
     bws.jn.resize(B);
     bws.dmax.resize(B);
     bws.dev_beta.resize(nd * B);
@@ -156,10 +155,6 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
     bws.y_h.resize(B);
     bws.alive.assign(B, 1);
     bws.sc_done.resize(B);
-    bws.known_nodes.clear();
-    for (std::size_t node = 0; node < nn; ++node) {
-      if (node_to_unknown[node] < 0) bws.known_nodes.push_back(node);
-    }
 
     for (std::size_t b = 0; b < B; ++b) {
       const TetaWorkspace& w = *lanes[bws.live[b]].ws;
@@ -177,10 +172,9 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
         bws.ca_im[k * B + b] = cak.imag();
         bws.cb_re[k * B + b] = cbk.real();
         bws.cb_im[k * B + b] = cbk.imag();
-        // w = ca - cb/dt, hoisted out of history_into: componentwise
-        // operations on constants, so per-transient equals per-step.
-        bws.w_re[k * B + b] = cak.real() - cbk.real() / dt;
-        bws.w_im[k * B + b] = cak.imag() - cbk.imag() / dt;
+        const numeric::Complex wk = w.conv.w(k);
+        bws.w_re[k * B + b] = wk.real();
+        bws.w_im[k * B + b] = wk.imag();
         const numeric::ComplexMatrix& rk = w.conv.residue(k);
         for (std::size_t i = 0; i < np; ++i) {
           for (std::size_t j = 0; j < np; ++j) {
@@ -207,17 +201,17 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
         bws.cap_i[c * B + b] = w.caps[c].i_prev;
       }
       bws.y_h[b] = &w.y_h;
-      // The one transient factorization, and the per-device constants of
-      // mosfet_eval (beta and vt0 + delta_vt exactly as it forms them).
+      // The one transient factorization, the lane's step-plan device
+      // constants, and its rail voltages (fixed for the transient).
       w.lu_tr.pack_lane(bws.lu.data(), bws.piv.data(), b, B);
-      const StageCircuit& stg = *lanes[bws.live[b]].stage;
       for (std::size_t d = 0; d < nd; ++d) {
-        const Mosfet& m = stg.mosfets()[d];
-        bws.dev_beta[d * B + b] = m.model.kp * m.w / m.leff();
-        bws.dev_vth[d * B + b] = m.model.vt0 + m.delta_vt;
-        bws.dev_lambda[d * B + b] = m.model.lambda;
-        bws.dev_chord[d * B + b] = w.chords[d];
+        const TetaWorkspace::StepPlan::Device& dev = w.plan.devices[d];
+        bws.dev_beta[d * B + b] = dev.beta;
+        bws.dev_vth[d * B + b] = dev.vth;
+        bws.dev_lambda[d * B + b] = dev.lambda;
+        bws.dev_chord[d * B + b] = dev.chord;
       }
+      for (const auto& r : w.plan.rails) bws.vnode[r.node * B + b] = r.v;
     }
 
     const auto nsteps =
@@ -248,17 +242,11 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
       for (std::size_t b = 0; b < B; ++b) any = any || bws.alive[b] != 0;
       if (!any) break;
 
-      // Known node voltages once per lane per step. The scalar path
-      // evaluates these lazily (several times per step); they are pure in
-      // t, so caching changes evaluation count, not values.
+      // Input waveforms once per lane per step, as in the scalar loop.
       for (std::size_t b = 0; b < B; ++b) {
         if (!bws.alive[b]) continue;
-        const StageCircuit& stg = *lanes[bws.live[b]].stage;
-        for (const std::size_t node : bws.known_nodes) {
-          bws.vknown[node * B + b] =
-              stg.kind(node) == StageNodeKind::kInput
-                  ? stg.input_wave(node).value(t)
-                  : stg.rail_voltage(node);
+        for (const auto& in : lanes[bws.live[b]].ws->plan.inputs) {
+          bws.vnode[in.node * B + b] = in.wave->value(t);
         }
       }
 
@@ -267,7 +255,7 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
       for (std::size_t c = 0; c < nck; ++c) {
         double* rc = &bws.rhs_const[rws.chord_known[c].row * B];
         const double* g = &bws.ck_g[c * B];
-        const double* kv = &bws.vknown[rws.chord_known[c].node * B];
+        const double* kv = &bws.vnode[rws.chord_known[c].node * B];
         LCSF_SIMD_LOOP
         for (std::size_t b = 0; b < B; ++b) rc[b] += g[b] * kv[b];
       }
@@ -276,10 +264,8 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
         const double* geq = &bws.cap_geq[c * B];
         const double* cu = &bws.cap_u[c * B];
         const double* ci = &bws.cap_i[c * B];
-        const double* kva =
-            cm.ua < 0 ? &bws.vknown[cm.na * B] : nullptr;
-        const double* kvb =
-            cm.ub < 0 ? &bws.vknown[cm.nb * B] : nullptr;
+        const double* kva = cm.ua < 0 ? &bws.vnode[cm.na * B] : nullptr;
+        const double* kvb = cm.ub < 0 ? &bws.vnode[cm.nb * B] : nullptr;
         double* ra =
             cm.ua >= 0
                 ? &bws.rhs_const[static_cast<std::size_t>(cm.ua) * B]
@@ -357,25 +343,19 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
         if (!pending) break;
         std::copy(bws.rhs_const.begin(), bws.rhs_const.end(),
                   bws.rhs.begin());
-        for (std::size_t node = 0; node < nn; ++node) {
-          const int u = node_to_unknown[node];
-          const double* src =
-              u >= 0 ? &bws.x[static_cast<std::size_t>(u) * B]
-                     : &bws.vknown[node * B];
-          std::copy(src, src + B, &bws.vnode[node * B]);
+        for (const auto& u : rplan.unknowns) {
+          const double* src = &bws.x[u.u * B];
+          std::copy(src, src + B, &bws.vnode[u.node * B]);
         }
-        // Device Norton currents j = ids(v) - G_ch (vd - vs), as in the
-        // scalar add_device_norton; mosfet_eval's source/drain swap and
-        // PMOS mirror become selects. Polarity is per device, not per
-        // lane (same_shape compares it).
+        // Device Norton currents through the scalar loop's kernel.
+        // Terminals and polarity are per device, not per lane
+        // (same_shape compares them), so the reference lane's plan holds.
         for (std::size_t d = 0; d < nd; ++d) {
-          const Mosfet& m = rstage.mosfets()[d];
-          const double sign = m.type == circuit::MosType::kNmos ? 1.0 : -1.0;
-          const bool pmos = m.type == circuit::MosType::kPmos;
-          const double* vg = &bws.vnode[static_cast<std::size_t>(m.gate) * B];
-          const double* vd = &bws.vnode[static_cast<std::size_t>(m.drain) * B];
-          const double* vs =
-              &bws.vnode[static_cast<std::size_t>(m.source) * B];
+          const TetaWorkspace::StepPlan::Device& dev = rplan.devices[d];
+          const bool pmos = dev.pmos;
+          const double* vg = &bws.vnode[dev.g * B];
+          const double* vd = &bws.vnode[dev.d * B];
+          const double* vs = &bws.vnode[dev.s * B];
           const double* beta = &bws.dev_beta[d * B];
           const double* vth = &bws.dev_vth[d * B];
           const double* lam = &bws.dev_lambda[d * B];
@@ -383,28 +363,16 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
           double* jn = bws.jn.data();
           LCSF_SIMD_LOOP
           for (std::size_t b = 0; b < B; ++b) {
-            const double nvg = sign * vg[b];
-            const double nvd0 = sign * vd[b];
-            const double nvs0 = sign * vs[b];
-            const bool swapped = nvd0 < nvs0;
-            const double nvd = swapped ? nvs0 : nvd0;
-            const double nvs = swapped ? nvd0 : nvs0;
-            const double vgst = nvg - nvs - vth[b];
-            const double vds = nvd - nvs;
-            const double idf = circuit::level1_ids(beta[b], lam[b], vgst, vds);
-            const double idn = swapped ? -idf : idf;
-            const double ids = pmos ? -idn : idn;
-            jn[b] = ids - ch[b] * (vd[b] - vs[b]);
+            jn[b] = detail::device_norton(pmos, beta[b], vth[b], lam[b],
+                                          ch[b], vg[b], vd[b], vs[b]);
           }
-          const int ud = node_to_unknown[static_cast<std::size_t>(m.drain)];
-          const int us = node_to_unknown[static_cast<std::size_t>(m.source)];
-          if (ud >= 0) {
-            double* r = &bws.rhs[static_cast<std::size_t>(ud) * B];
+          if (dev.ud >= 0) {
+            double* r = &bws.rhs[static_cast<std::size_t>(dev.ud) * B];
             LCSF_SIMD_LOOP
             for (std::size_t b = 0; b < B; ++b) r[b] -= jn[b];
           }
-          if (us >= 0) {
-            double* r = &bws.rhs[static_cast<std::size_t>(us) * B];
+          if (dev.us >= 0) {
+            double* r = &bws.rhs[static_cast<std::size_t>(dev.us) * B];
             LCSF_SIMD_LOOP
             for (std::size_t b = 0; b < B; ++b) r[b] += jn[b];
           }
@@ -499,10 +467,10 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
         const TetaWorkspace::CapState& cm = rws.caps[c];
         const double* va =
             cm.ua >= 0 ? &bws.x[static_cast<std::size_t>(cm.ua) * B]
-                       : &bws.vknown[cm.na * B];
+                       : &bws.vnode[cm.na * B];
         const double* vb =
             cm.ub >= 0 ? &bws.x[static_cast<std::size_t>(cm.ub) * B]
-                       : &bws.vknown[cm.nb * B];
+                       : &bws.vnode[cm.nb * B];
         const double* geq = &bws.cap_geq[c * B];
         double* cu = &bws.cap_u[c * B];
         double* ci = &bws.cap_i[c * B];

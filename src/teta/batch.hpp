@@ -17,10 +17,11 @@
 // on each lane separately. This holds because
 //   * setup/DC *is* the scalar code (shared, not duplicated);
 //   * the per-step kernels perform the same double operations in the same
-//     order per lane -- the drain current is the one inline
-//     circuit::level1_ids that mosfet_eval uses, its region and
-//     source/drain-swap branches become selects of identically computed
-//     values, and complex arithmetic is expanded to the
+//     order per lane -- both engines read the same per-transient step
+//     plan, the device Norton current is the one inline
+//     detail::device_norton both call (circuit::level1_ids with the
+//     region and source/drain-swap branches as selects of identically
+//     computed values), and complex arithmetic is expanded to the
 //     (ac - bd, ad + bc) component form, which is GCC's fast path for
 //     finite operands (the only case a converging transient produces);
 //   * coefficients involving complex divisions are copied bit-for-bit
@@ -57,7 +58,7 @@ struct BatchLane {
 /// internals; treat as opaque storage.
 struct BatchTetaWorkspace {
   // Unknowns / RHS / per-step vectors, [i * B + b].
-  std::vector<double> x, xn, rhs, rhs_const, vknown, hist, yhist, vp, il;
+  std::vector<double> x, xn, rhs, rhs_const, hist, yhist, vp, il;
   std::vector<double> acc;  // history accumulator, [b]
   // Recursive-convolution coefficients, [k * B + b].
   std::vector<double> d_re, d_im, ca_re, ca_im, cb_re, cb_im, w_re, w_im;
@@ -68,13 +69,14 @@ struct BatchTetaWorkspace {
   std::vector<double> cap_geq, cap_u, cap_i;  // cap companions, [c * B + b]
   std::vector<double> lu;            // packed lu_tr, [(i*n + j)*B + b]
   std::vector<std::size_t> piv;      // packed lu_tr pivots, [i * B + b]
-  std::vector<double> vnode;         // SC node voltages, [node * B + b]
+  // Node voltages, [node * B + b]: rails written once per transient,
+  // inputs once per step, unknowns every iteration (the step plan).
+  std::vector<double> vnode;
   std::vector<double> jn, dmax;      // device Norton current, max step, [b]
-  // mosfet_eval constants per device, [d * B + b]: kp*w/leff,
-  // vt0 + delta_vt, lambda, and the chord conductance.
+  // Step-plan device constants, [d * B + b]: kp*w/leff, vt0 + delta_vt,
+  // lambda, and the chord conductance.
   std::vector<double> dev_beta, dev_vth, dev_lambda, dev_chord;
   std::vector<const numeric::Matrix*> y_h;    // per live slot
-  std::vector<std::size_t> known_nodes;       // nodes with known voltage
   std::vector<std::size_t> live;              // lane index per SoA slot
   std::vector<unsigned char> alive, sc_done;  // per live slot
   std::vector<unsigned char> rerun;           // per lane

@@ -36,6 +36,7 @@ void RecursiveConvolver::reset(const mor::PoleResidueModel& z, double dt) {
   decay_.resize(poles_.size());
   ca_.resize(poles_.size());
   cb_.resize(poles_.size());
+  w_.resize(poles_.size());
   for (std::size_t k = 0; k < poles_.size(); ++k) {
     const Complex p = poles_[k];
     const Complex e = std::exp(p * dt);
@@ -44,6 +45,9 @@ void RecursiveConvolver::reset(const mor::PoleResidueModel& z, double dt) {
     //   state += a (e^{ph}-1)/p + b (e^{ph}-1-ph)/p^2.
     ca_[k] = (e - 1.0) / p;
     cb_[k] = (e - 1.0 - p * dt) / (p * p);
+    // Every step's history needs w; it is componentwise on constants, so
+    // forming it once here is exact.
+    w_[k] = ca_[k] - cb_[k] / dt;
   }
 
   // H = D0 + sum_k Re(Rk cb_k) / h: the i(t+h) coefficient of the update.
@@ -79,23 +83,26 @@ void RecursiveConvolver::initialize_dc(const Vector& i0) {
   i_prev_ = i0;
 }
 
-Vector RecursiveConvolver::history() const {
+Vector RecursiveConvolver::history() {
   Vector hist;
   history_into(hist);
   return hist;
 }
 
-void RecursiveConvolver::history_into(Vector& hist) const {
+void RecursiveConvolver::history_into(Vector& hist) {
   // v(t+h) = H i(t+h) + hist with
-  //   hist_i = sum_k Re[ Rk ( e^{ph} s_k + (ca - cb/h) i_prev ) ]_i.
+  //   hist_i = sum_k Re[ Rk u_k ]_i,  u_k = e^{ph} s_k + (ca - cb/h) i_prev.
+  // u_k does not depend on the row i, so it is formed once per pole.
   hist.assign(np_, 0.0);
+  u_.resize(np_);
   for (std::size_t k = 0; k < poles_.size(); ++k) {
-    const Complex w = ca_[k] - cb_[k] / dt_;
+    for (std::size_t j = 0; j < np_; ++j) {
+      u_[j] = decay_[k] * state_[k][j] + w_[k] * i_prev_[j];
+    }
     for (std::size_t i = 0; i < np_; ++i) {
       Complex acc{0.0, 0.0};
       for (std::size_t j = 0; j < np_; ++j) {
-        acc += residues_[k](i, j) *
-               (decay_[k] * state_[k][j] + w * i_prev_[j]);
+        acc += residues_[k](i, j) * u_[j];
       }
       hist[i] += acc.real();
     }
@@ -106,10 +113,11 @@ void RecursiveConvolver::advance(const Vector& i_now) {
   if (i_now.size() != np_) {
     sim::throw_invalid_input("advance: size mismatch");
   }
-  for (std::size_t k = 0; k < poles_.size(); ++k) {
-    for (std::size_t j = 0; j < np_; ++j) {
-      const double a = i_prev_[j];
-      const double b = (i_now[j] - i_prev_[j]) / dt_;
+  // Per port: the segment start a and slope b, then every pole.
+  for (std::size_t j = 0; j < np_; ++j) {
+    const double a = i_prev_[j];
+    const double b = (i_now[j] - i_prev_[j]) / dt_;
+    for (std::size_t k = 0; k < poles_.size(); ++k) {
       state_[k][j] = decay_[k] * state_[k][j] + ca_[k] * a + cb_[k] * b;
     }
   }

@@ -50,10 +50,10 @@ class RecursiveConvolver {
   void initialize_dc(const numeric::Vector& i0);
 
   /// History vector for the *next* step, given the committed state and the
-  /// current at the start of the step.
-  numeric::Vector history() const;
+  /// current at the start of the step. Non-const: it uses member scratch.
+  numeric::Vector history();
   /// history() into a caller-owned buffer (no allocation once warm).
-  void history_into(numeric::Vector& hist) const;
+  void history_into(numeric::Vector& hist);
 
   /// Commit a step: the current moved linearly from its previous committed
   /// value to i_now over dt.
@@ -69,6 +69,8 @@ class RecursiveConvolver {
   numeric::Complex decay(std::size_t k) const { return decay_[k]; }
   numeric::Complex ca(std::size_t k) const { return ca_[k]; }
   numeric::Complex cb(std::size_t k) const { return cb_[k]; }
+  /// ca - cb/dt, the committed-current coefficient of the history.
+  numeric::Complex w(std::size_t k) const { return w_[k]; }
   const numeric::ComplexMatrix& residue(std::size_t k) const {
     return residues_[k];
   }
@@ -89,11 +91,13 @@ class RecursiveConvolver {
   std::vector<numeric::Complex> decay_;    ///< e^{p h}
   std::vector<numeric::Complex> ca_;       ///< (e^{ph}-1)/p
   std::vector<numeric::Complex> cb_;       ///< (e^{ph}-1-ph)/p^2
+  std::vector<numeric::Complex> w_;        ///< ca - cb/h
 
   // State: s_kj = int e^{p_k (t - tau)} i_j(tau) dtau, and the committed
   // current at the current time.
   std::vector<numeric::CVector> state_;
   numeric::Vector i_prev_;
+  numeric::CVector u_;  ///< history_into scratch: one pole's propagated state
 };
 
 }  // namespace lcsf::teta

@@ -182,17 +182,20 @@ bool setup_and_dc(const StageCircuit& stage,
   conv.reset(load, opt.dt);
   const double clamp = opt.damping_frac * opt.vdd;
 
-  // Known node voltages at time t.
-  auto known_voltage = [&](std::size_t node, double t) {
-    switch (stage.kind(node)) {
-      case StageNodeKind::kInput:
-        return stage.input_wave(node).value(t);
-      case StageNodeKind::kRail:
-        return stage.rail_voltage(node);
-      default:
-        throw std::logic_error("known_voltage: unknown node");
+  // ---- Step plan: node slots ----------------------------------------
+  TetaWorkspace::StepPlan& plan = ws.plan;
+  plan.inputs.clear();
+  plan.rails.clear();
+  plan.unknowns.clear();
+  for (std::size_t node = 0; node < stage.num_nodes(); ++node) {
+    if (const int u = node_to_unknown[node]; u >= 0) {
+      plan.unknowns.push_back({node, static_cast<std::size_t>(u)});
+    } else if (stage.kind(node) == StageNodeKind::kInput) {
+      plan.inputs.push_back({node, &stage.input_wave(node)});
+    } else {
+      plan.rails.push_back({node, stage.rail_voltage(node)});
     }
-  };
+  }
 
   // ---- Constant system matrices -------------------------------------
   // A_dc: chords + Y_dc (caps open).  A_tr: chords + cap companions + Y_h.
@@ -208,14 +211,20 @@ bool setup_and_dc(const StageCircuit& stage,
   std::vector<TetaWorkspace::KnownCoupling>& chord_known = ws.chord_known;
   chord_known.clear();
 
-  std::vector<double>& chords = ws.chords;
-  chords.assign(stage.mosfets().size(), 0.0);
+  plan.devices.resize(stage.mosfets().size());
   for (std::size_t d = 0; d < stage.mosfets().size(); ++d) {
     const Mosfet& m = stage.mosfets()[d];
     const double g = StageCircuit::chord_conductance(m, opt.vdd);
-    chords[d] = g;
     const int ud = node_to_unknown[static_cast<std::size_t>(m.drain)];
     const int us = node_to_unknown[static_cast<std::size_t>(m.source)];
+    TetaWorkspace::StepPlan::Device& dev = plan.devices[d];
+    dev.g = static_cast<std::size_t>(m.gate);
+    dev.d = static_cast<std::size_t>(m.drain);
+    dev.s = static_cast<std::size_t>(m.source);
+    dev.ud = ud;
+    dev.us = us;
+    dev.pmos = m.type == circuit::MosType::kPmos;
+    dev.chord = g;
     auto stamp = [&](Matrix& a) {
       if (ud >= 0) a(ud, ud) += g;
       if (us >= 0) a(us, us) += g;
@@ -293,17 +302,25 @@ bool setup_and_dc(const StageCircuit& stage,
     return false;
   }
 
-  // Full node voltages from the unknown vector at time t, written into the
-  // reusable ws.vnode buffer.
-  auto node_voltages = [&](const Vector& xv, double t) -> const Vector& {
-    Vector& v = ws.vnode;
-    v.resize(stage.num_nodes());
-    for (std::size_t nn = 0; nn < stage.num_nodes(); ++nn) {
-      const int u = node_to_unknown[nn];
-      v[nn] = (u >= 0) ? xv[static_cast<std::size_t>(u)]
-                       : known_voltage(nn, t);
-    }
-    return v;
+  // ---- Step plan: device constants and known slots ------------------
+  // Formed only once the system has factored: leff() throws on a
+  // non-positive length, and a singular stage must report
+  // kSingularSystem first.
+  for (std::size_t d = 0; d < stage.mosfets().size(); ++d) {
+    const Mosfet& m = stage.mosfets()[d];
+    TetaWorkspace::StepPlan::Device& dev = plan.devices[d];
+    dev.beta = m.model.kp * m.w / m.leff();
+    dev.vth = m.model.vt0 + m.delta_vt;
+    dev.lambda = m.model.lambda;
+  }
+  // Rails hold for the whole transient; inputs are at t = 0 until the
+  // step loop moves them.
+  Vector& vnode = ws.vnode;
+  vnode.resize(stage.num_nodes());
+  for (const auto& r : plan.rails) vnode[r.node] = r.v;
+  for (const auto& in : plan.inputs) vnode[in.node] = in.wave->value(0.0);
+  auto refresh_unknowns = [&](const Vector& xv) {
+    for (const auto& u : plan.unknowns) vnode[u.node] = xv[u.u];
   };
 
   // ---- DC operating point (t = 0) ------------------------------------
@@ -330,7 +347,7 @@ bool setup_and_dc(const StageCircuit& stage,
       a = base;
       Vector& rhs = ws.rhs;
       rhs.assign(n, 0.0);
-      const Vector& vnode = node_voltages(x, 0.0);
+      refresh_unknowns(x);
       for (const Mosfet& m : stage.mosfets()) {
         const double vg = vnode[static_cast<std::size_t>(m.gate)];
         const double vd = vnode[static_cast<std::size_t>(m.drain)];
@@ -399,12 +416,10 @@ bool setup_and_dc(const StageCircuit& stage,
     conv.initialize_dc(ws.i_load);
   }
   // Initialize cap states.
-  {
-    const Vector& vn = node_voltages(x, 0.0);
-    for (auto& cs : caps) {
-      cs.u_prev = vn[cs.na] - vn[cs.nb];
-      cs.i_prev = 0.0;
-    }
+  refresh_unknowns(x);
+  for (auto& cs : caps) {
+    cs.u_prev = vnode[cs.na] - vnode[cs.nb];
+    cs.i_prev = 0.0;
   }
 
   setup.n = n;
@@ -430,54 +445,19 @@ void simulate_stage_once(const StageCircuit& stage,
   const std::size_t n = setup.n;
   const std::size_t np = stage.num_ports();
   const double clamp = opt.damping_frac * opt.vdd;
-  const std::vector<int>& node_to_unknown = ws.node_to_unknown;
+  const TetaWorkspace::StepPlan& plan = ws.plan;
   RecursiveConvolver& conv = ws.conv;
   const LuFactorization& lu_tr = ws.lu_tr;
   const Matrix& y_h = ws.y_h;
   const std::vector<TetaWorkspace::KnownCoupling>& chord_known =
       ws.chord_known;
   std::vector<TetaWorkspace::CapState>& caps = ws.caps;
-  const std::vector<double>& chords = ws.chords;
   Vector& x = ws.x;
-
-  // Known node voltages at time t.
-  auto known_voltage = [&](std::size_t node, double t) {
-    switch (stage.kind(node)) {
-      case StageNodeKind::kInput:
-        return stage.input_wave(node).value(t);
-      case StageNodeKind::kRail:
-        return stage.rail_voltage(node);
-      default:
-        throw std::logic_error("known_voltage: unknown node");
-    }
-  };
-  // Full node voltages from the unknown vector at time t, written into the
-  // reusable ws.vnode buffer.
-  auto node_voltages = [&](const Vector& xv, double t) -> const Vector& {
-    Vector& v = ws.vnode;
-    v.resize(stage.num_nodes());
-    for (std::size_t nn = 0; nn < stage.num_nodes(); ++nn) {
-      const int u = node_to_unknown[nn];
-      v[nn] = (u >= 0) ? xv[static_cast<std::size_t>(u)]
-                       : known_voltage(nn, t);
-    }
-    return v;
-  };
-  // Device Norton currents at iterate v: j = ids(v) - G_ch (vd - vs);
-  // accumulate -j into rhs rows (current leaving drain is +ids).
-  auto add_device_norton = [&](const Vector& vnode, Vector& rhs) {
-    for (std::size_t d = 0; d < stage.mosfets().size(); ++d) {
-      const Mosfet& m = stage.mosfets()[d];
-      const double vg = vnode[static_cast<std::size_t>(m.gate)];
-      const double vd = vnode[static_cast<std::size_t>(m.drain)];
-      const double vs = vnode[static_cast<std::size_t>(m.source)];
-      const double ids = circuit::mosfet_eval(m, vg, vd, vs).ids;
-      const double j = ids - chords[d] * (vd - vs);
-      const int ud = node_to_unknown[static_cast<std::size_t>(m.drain)];
-      const int us = node_to_unknown[static_cast<std::size_t>(m.source)];
-      if (ud >= 0) rhs[static_cast<std::size_t>(ud)] -= j;
-      if (us >= 0) rhs[static_cast<std::size_t>(us)] += j;
-    }
+  // Rail slots were written by the setup phase; inputs move per step and
+  // the unknown slots per iteration.
+  Vector& vnode = ws.vnode;
+  auto refresh_unknowns = [&] {
+    for (const auto& u : plan.unknowns) vnode[u.node] = x[u.u];
   };
 
   const auto nsteps =
@@ -497,21 +477,20 @@ void simulate_stage_once(const StageCircuit& stage,
   // ---- Transient loop -------------------------------------------------
   for (std::size_t step = 1; step <= nsteps; ++step) {
     const double t = static_cast<double>(step) * opt.dt;
+    for (const auto& in : plan.inputs) vnode[in.node] = in.wave->value(t);
 
     Vector& rhs_const = ws.rhs_const;
     rhs_const.assign(n, 0.0);
     for (const auto& kc : chord_known) {
-      rhs_const[kc.row] += kc.g * known_voltage(kc.node, t);
+      rhs_const[kc.row] += kc.g * vnode[kc.node];
     }
     for (const auto& cs : caps) {
       // Row a: +i = geq(va - vb) - (geq u_prev + i_prev); the -geq vb term
       // moves to the RHS with a + sign when b is a known node (and
       // symmetrically for row b).
       const double h = cs.geq * cs.u_prev + cs.i_prev;
-      const double ka =
-          cs.ua < 0 ? cs.geq * known_voltage(cs.na, t) : 0.0;
-      const double kb =
-          cs.ub < 0 ? cs.geq * known_voltage(cs.nb, t) : 0.0;
+      const double ka = cs.ua < 0 ? cs.geq * vnode[cs.na] : 0.0;
+      const double kb = cs.ub < 0 ? cs.geq * vnode[cs.nb] : 0.0;
       if (cs.ua >= 0) rhs_const[cs.ua] += h + kb;
       if (cs.ub >= 0) rhs_const[cs.ub] += -h + ka;
     }
@@ -524,7 +503,15 @@ void simulate_stage_once(const StageCircuit& stage,
     for (int it = 0; it < opt.max_sc_iters; ++it) {
       Vector& rhs = ws.rhs;
       rhs = rhs_const;
-      add_device_norton(node_voltages(x, t), rhs);
+      refresh_unknowns();
+      for (const auto& dv : plan.devices) {
+        const double j =
+            detail::device_norton(dv.pmos, dv.beta, dv.vth, dv.lambda,
+                                  dv.chord, vnode[dv.g], vnode[dv.d],
+                                  vnode[dv.s]);
+        if (dv.ud >= 0) rhs[static_cast<std::size_t>(dv.ud)] -= j;
+        if (dv.us >= 0) rhs[static_cast<std::size_t>(dv.us)] += j;
+      }
       Vector& xn = ws.xn;
       lu_tr.solve_into(rhs, xn);
       double dmax = 0.0;
@@ -566,9 +553,9 @@ void simulate_stage_once(const StageCircuit& stage,
       for (std::size_t p = 0; p < np; ++p) ws.i_load[p] -= yhist[p];
       conv.advance(ws.i_load);
     }
-    const Vector& vn = node_voltages(x, t);
+    refresh_unknowns();
     for (auto& cs : caps) {
-      const double u_new = vn[cs.na] - vn[cs.nb];
+      const double u_new = vnode[cs.na] - vnode[cs.nb];
       const double i_new = cs.geq * (u_new - cs.u_prev) - cs.i_prev;
       cs.u_prev = u_new;
       cs.i_prev = i_new;

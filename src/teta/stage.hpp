@@ -149,10 +149,40 @@ struct TetaWorkspace {
     double u_prev = 0.0;  // va - vb at committed time
     double i_prev = 0.0;  // companion current at committed time
   };
+  /// Everything the step loops need that is constant for one transient
+  /// attempt, built by the setup phase and read by both the scalar and
+  /// the lockstep engine: which node slots hold what, and each device's
+  /// terminals and drain-current constants.
+  struct StepPlan {
+    struct Input {  // driven node: waveform evaluated once per step
+      std::size_t node;
+      const circuit::SourceWaveform* wave;
+    };
+    struct Rail {  // fixed node: written once per transient
+      std::size_t node;
+      double v;
+    };
+    struct Unknown {  // SC unknown: refreshed from x every iteration
+      std::size_t node;
+      std::size_t u;
+    };
+    struct Device {
+      std::size_t g, d, s;  // terminal node ids
+      int ud, us;           // drain/source unknown indices or -1
+      bool pmos;
+      // mosfet_eval's constants, formed exactly as it forms them:
+      // beta = kp*w/leff, vth = vt0 + delta_vt; plus the chord G_ch.
+      double beta, vth, lambda, chord;
+    };
+    std::vector<Input> inputs;
+    std::vector<Rail> rails;
+    std::vector<Unknown> unknowns;
+    std::vector<Device> devices;
+  };
 
   RecursiveConvolver conv;
+  StepPlan plan;
   std::vector<int> node_to_unknown;
-  std::vector<double> chords;
   std::vector<KnownCoupling> chord_known;
   std::vector<CapState> caps;
   numeric::Matrix a_dc, a_tr;      // constant SC system matrices
@@ -163,7 +193,10 @@ struct TetaWorkspace {
   numeric::LuFactorization lu_dc;  // DC singularity probe
   numeric::LuFactorization lu_tr;  // the one transient factorization
   numeric::LuFactorization lu_newton;  // per-iteration DC Newton factor
-  numeric::Vector x, xn, rhs, rhs_const, vnode, hist, yhist, vp, i_load;
+  numeric::Vector x, xn, rhs, rhs_const, hist, yhist, vp, i_load;
+  /// Node voltages by local node id: rail slots are written once per
+  /// transient, input slots once per step, unknown slots per iteration.
+  numeric::Vector vnode;
   numeric::Vector col_b, col_x;    // column scratch for matrix solves
 };
 

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <random>
+#include <string>
 
+#include "api/session.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/technology.hpp"
 #include "interconnect/coupled_lines.hpp"
@@ -470,6 +475,255 @@ TEST(StageEngine, ReportsIterationBudgetExhaustion) {
   EXPECT_TRUE(res.diag.kind == sim::FailureKind::kDcFailure ||
               res.diag.kind == sim::FailureKind::kNewtonNonConvergence)
       << res.failure();
+}
+
+// ---- golden bits -------------------------------------------------------
+// Bit-exact pins of the scalar engine. The batch-vs-scalar tests compare
+// the two engines with each other, so a change in code both share (setup,
+// the step plan, the device kernel, the convolver) would pass them
+// unnoticed. These expectations were recorded from the engine in hexfloat
+// and catch any change in its IEEE operation sequence.
+
+std::string hexf(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+/// FNV-1a over the bit patterns of `values`, for results too long to pin
+/// value by value.
+std::string bits_hash(const std::vector<double>& values) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double v : values) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// Outcome, iteration count, diagnostics and every port voltage at the
+/// given steps of one transient, as one comparable string.
+std::string golden(const TetaResult& r,
+                   std::initializer_list<std::size_t> steps) {
+  std::string s = "converged=" + std::to_string(r.converged) +
+                  " steps=" + std::to_string(r.time.size()) +
+                  " sc=" + std::to_string(r.total_sc_iterations) +
+                  " kind=" + std::to_string(static_cast<int>(r.diag.kind)) +
+                  " it=" + std::to_string(r.diag.iterations) +
+                  " retries=" + std::to_string(r.diag.retries_used) +
+                  " tfail=" + hexf(r.diag.failure_time) +
+                  " vmax=" + hexf(r.diag.max_abs_v);
+  for (const std::size_t k : steps) {
+    s += " | " + std::to_string(k) + ":";
+    if (k >= r.port_voltages.size()) {
+      s += " -";
+      continue;
+    }
+    for (const double v : r.port_voltages[k]) s += " " + hexf(v);
+  }
+  return s;
+}
+
+/// One-port load: a port capacitance with a 1 MOhm leak to ground.
+mor::PoleResidueModel cap_load(const StageCircuit& stage, double cload,
+                               double vdd) {
+  circuit::Netlist load;
+  const auto out = load.add_node("out");
+  load.add_capacitor(out, kGround, cload);
+  load.add_resistor(out, kGround, 1e6);
+  auto pencil = interconnect::build_ported_pencil(load, {out});
+  pencil = mor::with_port_conductance(std::move(pencil),
+                                      stage.port_chord_conductances(vdd));
+  return mor::extract_pole_residue(
+      mor::pact_reduce(pencil, mor::PactOptions{2}).model);
+}
+
+TetaOptions golden_options(double vdd) {
+  TetaOptions opt;
+  opt.tstop = 0.6e-9;
+  opt.dt = 1e-12;
+  opt.vdd = vdd;
+  return opt;
+}
+
+TEST(GoldenBits, InverterTwoPortLoad) {
+  InverterVsSpice fix;
+  const TetaResult r = fix.run_teta(1.2e-9, 1e-12);
+  EXPECT_EQ(golden(r, {0, 60, 100, 150, 300, 1200}),
+            "converged=1 steps=1201 sc=2272 kind=0 it=2272 retries=0"
+            " tfail=0x0p+0 vmax=0x0p+0"
+            " | 0: 0x1.cccca7846fc97p+0 0x1.cccc986af909bp+0"
+            " | 60: 0x1.d042d8b234f37p+0 0x1.cde461c2c1de9p+0"
+            " | 100: 0x1.bbb66a8c406f8p+0 0x1.ca842595a6c99p+0"
+            " | 150: 0x1.3a7ff3e5ae21dp-1 0x1.e3ee6b0ceeddp-1"
+            " | 300: 0x1.3555254aa2cdbp-7 0x1.0aca2e29d47b9p-6"
+            " | 1200: 0x1.5d62e3ffbaf92p-35 -0x1.6e2cc7393b936p-37");
+}
+
+TEST(GoldenBits, Nand2StackWithInternalNode) {
+  const Technology t = technology_180nm();
+  StageCircuit stage;
+  const std::size_t out = stage.add_port();
+  const std::size_t a = stage.add_input(
+      SourceWaveform::pulse(0.0, t.vdd, 50e-12, 80e-12, 200e-12, 60e-12));
+  const std::size_t b =
+      stage.add_input(SourceWaveform::ramp(0.0, t.vdd, 0.0, 40e-12));
+  const std::size_t vdd = stage.add_rail(t.vdd);
+  const std::size_t gnd = stage.add_rail(0.0);
+  const std::size_t mid = stage.add_internal();
+  const auto i = [](std::size_t n) { return static_cast<int>(n); };
+  stage.add_mosfet(t.make_nmos(i(out), i(a), i(mid), 8.0));
+  circuit::Mosfet lower = t.make_nmos(i(mid), i(b), i(gnd), 8.0);
+  lower.delta_vt = 0.02;
+  lower.delta_l = 0.01e-6;
+  stage.add_mosfet(lower);
+  stage.add_mosfet(t.make_pmos(i(out), i(a), i(vdd), 8.0));
+  stage.add_mosfet(t.make_pmos(i(out), i(b), i(vdd), 8.0));
+  stage.freeze_device_capacitances();
+  const TetaResult r =
+      simulate_stage(stage, cap_load(stage, 25e-15, t.vdd),
+                     golden_options(t.vdd));
+  EXPECT_EQ(golden(r, {0, 40, 90, 150, 330, 400, 600}),
+            "converged=1 steps=601 sc=3713 kind=0 it=3713 retries=0"
+            " tfail=0x0p+0 vmax=0x0p+0"
+            " | 0: 0x1.cc96252271c71p+0"
+            " | 40: 0x1.d4d4b6e89b6cp+0"
+            " | 90: 0x1.d02bc5038c394p+0"
+            " | 150: 0x1.16b0ae1496ee3p-1"
+            " | 330: 0x1.e1f817e46d8fcp-14"
+            " | 400: 0x1.34c88c00a977bp-1"
+            " | 600: 0x1.cc1625279a7d4p+0");
+}
+
+TEST(GoldenBits, TransmissionGateConductsBothWays) {
+  // Drain on the port, source on the input: the input edge drives the
+  // NMOS in reverse conduction on the way up and the PMOS on the way down.
+  const Technology t = technology_180nm();
+  StageCircuit stage;
+  const std::size_t out = stage.add_port();
+  const std::size_t in = stage.add_input(
+      SourceWaveform::pulse(0.0, t.vdd, 40e-12, 60e-12, 200e-12, 60e-12));
+  const std::size_t vdd = stage.add_rail(t.vdd);
+  const std::size_t gnd = stage.add_rail(0.0);
+  const auto i = [](std::size_t n) { return static_cast<int>(n); };
+  stage.add_mosfet(t.make_nmos(i(out), i(vdd), i(in), 4.0));
+  circuit::Mosfet p = t.make_pmos(i(out), i(gnd), i(in), 8.0);
+  p.delta_vt = -0.03;
+  stage.add_mosfet(p);
+  stage.freeze_device_capacitances();
+  const TetaResult r =
+      simulate_stage(stage, cap_load(stage, 15e-15, t.vdd),
+                     golden_options(t.vdd));
+  EXPECT_EQ(golden(r, {0, 50, 80, 120, 310, 360, 600}),
+            "converged=1 steps=601 sc=1674 kind=0 it=1674 retries=0"
+            " tfail=0x0p+0 vmax=0x0p+0"
+            " | 0: 0x0p+0"
+            " | 50: 0x1.6dbf20dec1075p-4"
+            " | 80: 0x1.708ea03fe6901p-1"
+            " | 120: 0x1.a10821bd4d7e8p+0"
+            " | 310: 0x1.b95c2c82172bap+0"
+            " | 360: 0x1.ffb437f376e9fp-2"
+            " | 600: 0x1.0b7b15491b6c6p-27");
+}
+
+TEST(GoldenBits, DtHalvingRetryLadder) {
+  // A tight SC budget fails the first attempt; the halved-dt retry
+  // converges. Pins the failed attempts' iterations too (they add up).
+  InverterVsSpice fix;
+  circuit::Netlist load;
+  const auto out = load.add_node("out");
+  load.add_capacitor(out, kGround, fix.cload1);
+  load.add_resistor(out, kGround, 1e5);
+  StageCircuit stage;
+  const std::size_t p_out = stage.add_port();
+  const std::size_t in = stage.add_input(fix.input);
+  const std::size_t vdd = stage.add_rail(fix.tech.vdd);
+  const std::size_t gnd = stage.add_rail(0.0);
+  const auto i = [](std::size_t n) { return static_cast<int>(n); };
+  stage.add_mosfet(fix.tech.make_nmos(i(p_out), i(in), i(gnd), 6.0));
+  stage.add_mosfet(fix.tech.make_pmos(i(p_out), i(in), i(vdd), 12.0));
+  stage.freeze_device_capacitances();
+  TetaOptions opt = golden_options(fix.tech.vdd);
+  opt.tstop = 0.3e-9;
+  opt.dt = 10e-12;
+  opt.max_sc_iters = 12;
+  opt.recovery.max_dt_retries = 3;
+  const TetaResult r =
+      simulate_stage(stage, cap_load(stage, fix.cload1, fix.tech.vdd), opt);
+  EXPECT_GT(r.diag.retries_used, 0);
+  EXPECT_TRUE(r.converged) << r.failure();
+  EXPECT_EQ(golden(r, {0, 10, 20, 30, 60}),
+            "converged=1 steps=61 sc=388 kind=0 it=388 retries=1 tfail=0x0p+0"
+            " vmax=0x0p+0"
+            " | 0: 0x1.cc83eeb9af9f9p+0"
+            " | 10: 0x1.cc83ff5c621a6p+0"
+            " | 20: 0x1.b38ab0abe3807p+0"
+            " | 30: 0x1.0aa2353a075c1p-3"
+            " | 60: 0x1.a503a1756c9c1p-14");
+}
+
+core::PathVariationModel golden_model() {
+  core::PathVariationModel model;
+  model.std_dl = 0.33;
+  model.std_vt = 0.33;
+  return model;
+}
+
+TEST(GoldenBits, SessionRunGraphS208) {
+  api::DesignSpec spec;
+  spec.circuit = "s208";
+  spec.graph = true;
+  spec.top_k = 8;
+  const auto session = api::Session::load(spec);
+  stats::RunOptions opt;
+  opt.samples = 4;
+  opt.seed = 7;
+  opt.exec.threads = 2;
+  const api::GraphResult g = session->run_graph(golden_model(), opt);
+  std::string mc;
+  for (const double v : g.mc.values) mc += hexf(v) + " ";
+  EXPECT_EQ(mc,
+            "0x1.b9093c63acbb2p-32 0x1.c4466cfc1f5a8p-32 0x1.b7ad46beb82fep-32"
+            " 0x1.baa452603ddaep-32 ");
+  EXPECT_EQ(hexf(g.nominal.max_delay), "0x1.be09ec7b61adp-32");
+  std::vector<double> all = g.mc.values;
+  for (const auto& e : g.nominal.endpoints) {
+    all.insert(all.end(), {static_cast<double>(e.net), e.delay, e.slew});
+  }
+  for (const auto& a : g.analytic) {
+    all.insert(all.end(), {a.arrival.mean, a.arrival.local});
+    all.insert(all.end(), a.arrival.sens.begin(), a.arrival.sens.end());
+  }
+  EXPECT_EQ(bits_hash(all), "fbcfd83dd721264a");
+}
+
+TEST(GoldenBits, SessionIsCvYieldS27) {
+  api::DesignSpec spec;
+  spec.circuit = "s27";
+  const auto session = api::Session::load(spec);
+  stats::RunOptions opt;
+  opt.samples = 32;
+  opt.seed = 3;
+  opt.exec.threads = 2;
+  const api::YieldResult y =
+      session->run_yield(golden_model(), 0.0, "is-cv", 0.9987, opt);
+  ASSERT_TRUE(y.is.has_value());
+  const stats::IsYieldEstimate& is = *y.is;
+  EXPECT_EQ(hexf(y.clock_period) + " " + hexf(is.yield_loss) + " " +
+                hexf(is.std_error) + " " + hexf(is.ess) + " " +
+                hexf(is.control_coefficient),
+            "0x1.e3cea711e712cp-33 0x1.026fca3a5efebp-8 0x1.13e1f5e13fff7p-10"
+            " 0x1.5a8bb9dd3616bp+0 0x1.846e248e26186p-1");
+  std::vector<double> all = is.values;
+  all.insert(all.end(), is.weights.begin(), is.weights.end());
+  EXPECT_EQ(bits_hash(all), "9d7c0e57a6e155ff");
 }
 
 }  // namespace
