@@ -55,7 +55,11 @@ using numeric::Vector;
 // ---------------------------------------------------------------------
 // The pre-PR TETA engine, copied verbatim from src/teta/stage.cpp as it
 // stood before the workspace rewrite. This is the frozen baseline the
-// acceptance speedup is measured against; keep it untouched.
+// acceptance speedup is measured against: its allocation pattern stays
+// untouched. The one later edit is the predicted successive-chord start
+// (3 x_k - 3 x_{k-1} + x_{k-2}, seeded from DC), which changes the
+// engine's operation sequence; the replica carries it too so all legs
+// keep running the same per-sample arithmetic.
 // ---------------------------------------------------------------------
 namespace prepr {
 
@@ -315,6 +319,8 @@ TetaResult simulate_stage_once(const StageCircuit& stage,
       cs.i_prev = 0.0;
     }
   }
+  Vector x_km1 = x;
+  Vector x_km2 = x;
 
   auto store = [&](double t) {
     res.time.push_back(t);
@@ -346,6 +352,12 @@ TetaResult simulate_stage_once(const StageCircuit& stage,
     const Vector yhist = y_h * hist;
     for (std::size_t p = 0; p < np; ++p) rhs_const[p] += yhist[p];
 
+    for (std::size_t i = 0; i < n; ++i) {
+      const double xk = x[i];
+      x[i] = 3.0 * xk - 3.0 * x_km1[i] + x_km2[i];
+      x_km2[i] = x_km1[i];
+      x_km1[i] = xk;
+    }
     bool ok = false;
     for (int it = 0; it < opt.max_sc_iters; ++it) {
       Vector rhs = rhs_const;

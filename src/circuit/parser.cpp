@@ -185,74 +185,85 @@ Netlist parse_netlist(std::istream& in, const Technology& tech) {
         throw ParseError(ln, e.detail());
       }
     };
-    switch (head[0]) {
-      case 'r': {
-        need(4);
-        nl.add_resistor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
-        break;
-      }
-      case 'c': {
-        need(4);
-        nl.add_capacitor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
-        break;
-      }
-      case 'l': {
-        need(4);
-        nl.add_inductor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
-        break;
-      }
-      case 'v': {
-        need(4);
-        nl.add_vsource(nl.node(tok[1]), nl.node(tok[2]),
-                       parse_source(tok, 3, ln));
-        break;
-      }
-      case 'i': {
-        need(4);
-        nl.add_isource(nl.node(tok[1]), nl.node(tok[2]),
-                       parse_source(tok, 3, ln));
-        break;
-      }
-      case 'm': {
-        // Mname d g s NMOS|PMOS [W= v] [L= v] [DVT= v] [DL= v]
-        need(5);
-        const std::string model = lower(tok[4]);
-        Mosfet m;
-        if (model == "nmos") {
-          m = tech.make_nmos(nl.node(tok[1]), nl.node(tok[2]),
-                             nl.node(tok[3]));
-        } else if (model == "pmos") {
-          m = tech.make_pmos(nl.node(tok[1]), nl.node(tok[2]),
-                             nl.node(tok[3]));
-        } else {
-          throw ParseError(ln, "unknown MOS model '" + tok[4] + "'");
+    // The Netlist rejects bad element values (R <= 0, C < 0, an element
+    // shorted to itself) with std::invalid_argument; report them against
+    // their card like any other deck error.
+    try {
+      switch (head[0]) {
+        case 'r': {
+          need(4);
+          nl.add_resistor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
+          break;
         }
-        for (std::size_t i = 5; i < tok.size(); i += 3) {
-          if (i + 2 >= tok.size()) {
-            throw ParseError(ln, "truncated key=value near '" + tok[i] + "'");
-          }
-          if (tok[i + 1] != "=") {
-            throw ParseError(ln, "expected key=value near '" + tok[i] + "'");
-          }
-          const std::string key = lower(tok[i]);
-          const double v = value_at(i + 2);
-          if (key == "w") {
-            m.w = v;
-          } else if (key == "l") {
-            m.l = v;
-          } else if (key == "dvt") {
-            m.delta_vt = v;
-          } else if (key == "dl") {
-            m.delta_l = v;
+        case 'c': {
+          need(4);
+          nl.add_capacitor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
+          break;
+        }
+        case 'l': {
+          need(4);
+          nl.add_inductor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
+          break;
+        }
+        case 'v': {
+          need(4);
+          nl.add_vsource(nl.node(tok[1]), nl.node(tok[2]),
+                         parse_source(tok, 3, ln));
+          break;
+        }
+        case 'i': {
+          need(4);
+          nl.add_isource(nl.node(tok[1]), nl.node(tok[2]),
+                         parse_source(tok, 3, ln));
+          break;
+        }
+        case 'm': {
+          // Mname d g s NMOS|PMOS [W= v] [L= v] [DVT= v] [DL= v]
+          need(5);
+          const std::string model = lower(tok[4]);
+          Mosfet m;
+          if (model == "nmos") {
+            m = tech.make_nmos(nl.node(tok[1]), nl.node(tok[2]),
+                               nl.node(tok[3]));
+          } else if (model == "pmos") {
+            m = tech.make_pmos(nl.node(tok[1]), nl.node(tok[2]),
+                               nl.node(tok[3]));
           } else {
-            throw ParseError(ln, "unknown MOS parameter '" + tok[i] + "'");
+            throw ParseError(ln, "unknown MOS model '" + tok[4] + "'");
           }
+          for (std::size_t i = 5; i < tok.size(); i += 3) {
+            if (i + 2 >= tok.size()) {
+              throw ParseError(ln, "truncated key=value near '" + tok[i] + "'");
+            }
+            if (tok[i + 1] != "=") {
+              throw ParseError(ln, "expected key=value near '" + tok[i] + "'");
+            }
+            const std::string key = lower(tok[i]);
+            const double v = value_at(i + 2);
+            if (key == "w") {
+              m.w = v;
+            } else if (key == "l") {
+              m.l = v;
+            } else if (key == "dvt") {
+              m.delta_vt = v;
+            } else if (key == "dl") {
+              m.delta_l = v;
+            } else {
+              throw ParseError(ln, "unknown MOS parameter '" + tok[i] + "'");
+            }
+          }
+          // Every device model divides by the effective length.
+          if (!(m.w > 0.0) || !(m.l - m.delta_l > 0.0)) {
+            throw ParseError(ln, "MOS needs W > 0 and L - DL > 0");
+          }
+          nl.add_mosfet(std::move(m));
+          break;
         }
-        nl.add_mosfet(std::move(m));
-        break;
+        default:
+          throw ParseError(ln, "unknown card '" + card + "'");
       }
-      default:
-        throw ParseError(ln, "unknown card '" + card + "'");
+    } catch (const std::invalid_argument& e) {
+      throw ParseError(ln, e.what());
     }
   }
   obs::add_counter("parser.cards", static_cast<std::uint64_t>(cards.size()));

@@ -241,8 +241,15 @@ class Parser {
   Json parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == Json::kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+      }
+      ++depth_;
+      Json v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Json::string(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -422,6 +429,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

@@ -35,9 +35,15 @@ class Json {
   static Json array();
   static Json object();
 
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level, so the cap bounds its stack use; protocol requests
+  /// nest three levels at most.
+  static constexpr std::size_t kMaxDepth = 64;
+
   /// Strict parse of one complete JSON document; trailing non-space
-  /// input, duplicate object keys, or any syntax error throws
-  /// sim::SimulationError (kInvalidInput) with a position diagnostic.
+  /// input, duplicate object keys, nesting deeper than kMaxDepth, or any
+  /// syntax error throws sim::SimulationError (kInvalidInput) with a
+  /// position diagnostic.
   static Json parse(const std::string& text);
 
   Type type() const { return type_; }

@@ -444,6 +444,10 @@ DispatchResult dispatch_request(const std::string& line, ServeContext& ctx) {
   std::unique_lock<std::shared_mutex> write_gate;
 
   try {
+    if (line.size() > kMaxRequestBytes) {
+      sim::throw_invalid_input("request line longer than " +
+                               std::to_string(kMaxRequestBytes) + " bytes");
+    }
     const Json req = Json::parse(line);
     if (!req.is_object()) {
       sim::throw_invalid_input("request must be a JSON object");

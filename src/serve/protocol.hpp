@@ -50,10 +50,16 @@ struct DispatchResult {
   bool shutdown = false;  ///< request asked the server to stop
 };
 
+/// Longest request line accepted, in bytes. Longer lines are answered
+/// with an invalid-input error without being parsed; the server stops
+/// buffering such a line once it passes this size.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+
 /// Parse, validate, execute and serialize one request. Never throws:
-/// every failure -- malformed JSON, unknown/missing fields, unknown
-/// circuit, a diverging simulation under on_failure=abort -- becomes an
-/// error response carrying the classified sim::FailureKind name.
+/// every failure -- an over-long line, malformed or too deeply nested
+/// JSON, unknown/missing fields, unknown circuit, a diverging simulation
+/// under on_failure=abort -- becomes an error response carrying the
+/// classified sim::FailureKind name.
 DispatchResult dispatch_request(const std::string& line, ServeContext& ctx);
 
 }  // namespace lcsf::serve

@@ -121,6 +121,9 @@ void Server::serve_connection(int fd, std::size_t lane) {
   ctx.lane = lane;
 
   std::string buffer;
+  // Set once an unterminated line has outgrown kMaxRequestBytes and been
+  // answered: the rest of it, up to its newline, is dropped unread.
+  bool skipping = false;
   char chunk[1 << 16];
   for (;;) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -137,6 +140,10 @@ void Server::serve_connection(int fd, std::size_t lane) {
       if (nl == std::string::npos) break;
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
+      if (skipping) {
+        skipping = false;
+        continue;
+      }
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       const DispatchResult result = dispatch_request(line, ctx);
@@ -147,6 +154,15 @@ void Server::serve_connection(int fd, std::size_t lane) {
       }
     }
     buffer.erase(0, start);
+    if (buffer.size() > kMaxRequestBytes) {
+      // dispatch_request rejects the over-long line before parsing it.
+      if (!skipping &&
+          !send_all(fd, dispatch_request(buffer, ctx).response + "\n")) {
+        return;
+      }
+      skipping = true;
+      buffer.clear();
+    }
   }
 }
 

@@ -118,6 +118,8 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
 
     // ---- Pack: AoS lane state -> lane-inner SoA ----------------------
     bws.x.resize(n * B);
+    bws.x_km1.resize(n * B);
+    bws.x_km2.resize(n * B);
     bws.xn.resize(n * B);
     bws.rhs.resize(n * B);
     bws.rhs_const.resize(n * B);
@@ -158,7 +160,11 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
 
     for (std::size_t b = 0; b < B; ++b) {
       const TetaWorkspace& w = *lanes[bws.live[b]].ws;
-      for (std::size_t i = 0; i < n; ++i) bws.x[i * B + b] = w.x[i];
+      for (std::size_t i = 0; i < n; ++i) {
+        bws.x[i * B + b] = w.x[i];
+        bws.x_km1[i * B + b] = w.x_km1[i];
+        bws.x_km2[i * B + b] = w.x_km2[i];
+      }
       // Coefficients are *copied* from the scalar-initialized convolver;
       // recomputing them here would redo complex divisions whose bit
       // patterns must match the scalar path.
@@ -326,6 +332,18 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
         const double* yh = &bws.yhist[p * B];
         LCSF_SIMD_LOOP
         for (std::size_t b = 0; b < B; ++b) rc[b] += yh[b];
+      }
+
+      // Predicted starting point, formed per unknown as the scalar loop
+      // forms it (dead lanes' slots are streamed over harmlessly).
+      {
+        double* x = bws.x.data();
+        double* xm1 = bws.x_km1.data();
+        double* xm2 = bws.x_km2.data();
+        LCSF_SIMD_LOOP
+        for (std::size_t ib = 0; ib < n * B; ++ib) {
+          detail::predict_start(x[ib], xm1[ib], xm2[ib]);
+        }
       }
 
       // Successive-chords iteration, lane-inner: every pass builds the

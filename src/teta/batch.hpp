@@ -59,6 +59,9 @@ struct BatchLane {
 struct BatchTetaWorkspace {
   // Unknowns / RHS / per-step vectors, [i * B + b].
   std::vector<double> x, xn, rhs, rhs_const, hist, yhist, vp, il;
+  // Predictor history x_{k-1}, x_{k-2} (TetaWorkspace::x_km1/x_km2),
+  // packed from each lane's DC seed, [i * B + b].
+  std::vector<double> x_km1, x_km2;
   std::vector<double> acc;  // history accumulator, [b]
   // Recursive-convolution coefficients, [k * B + b].
   std::vector<double> d_re, d_im, ca_re, ca_im, cb_re, cb_im, w_re, w_im;

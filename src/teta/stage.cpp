@@ -422,6 +422,10 @@ bool setup_and_dc(const StageCircuit& stage,
     cs.i_prev = 0.0;
   }
 
+  // Predictor history: stationary before t = 0, so x_{-1} = x_{-2} = DC.
+  ws.x_km1 = x;
+  ws.x_km2 = x;
+
   setup.n = n;
   return true;
 }
@@ -499,6 +503,9 @@ void simulate_stage_once(const StageCircuit& stage,
     const Vector& yhist = ws.yhist;
     for (std::size_t p = 0; p < np; ++p) rhs_const[p] += yhist[p];
 
+    for (std::size_t i = 0; i < n; ++i) {
+      detail::predict_start(x[i], ws.x_km1[i], ws.x_km2[i]);
+    }
     bool ok = false;
     for (int it = 0; it < opt.max_sc_iters; ++it) {
       Vector& rhs = ws.rhs;
@@ -650,43 +657,65 @@ std::vector<std::pair<double, double>> compress_pwl(
   std::vector<std::pair<double, double>> out;
   out.push_back(samples.front());
   std::size_t anchor = 0;
-  // Exact fast accept. While the segment anchor..k has strictly
-  // increasing finite times (with a finite t_k - t_anchor, so every
-  // interpolation fraction lies in [0, 1]) and finite values spanning at
-  // most `span`, every chord interpolant is a convex combination of two
-  // of those values, so |lin - vm| <= span plus a rounding error of a few
-  // ulps of the values. When that bound is below vtol by a clear margin
-  // every check of the scan below passes, and skipping it yields the same
-  // breakpoints; flat tails then cost O(1) per sample, not O(segment).
-  double lo = 0.0;
-  double hi = 0.0;
+  // Exact fast accept (slope sleeve). The chord anchor..k passes the scan
+  // below when every interior sample m lies within vtol of it, i.e. when
+  // its slope s = (v_k - v_a) / (t_k - t_a) lies in every interval
+  // [(v_m - v_a - vtol) / (t_m - t_a), (v_m - v_a + vtol) / (t_m - t_a)].
+  // The running intersection [s_lo, s_hi] of those intervals, built with
+  // the tolerance shrunk by `guard`, costs O(1) per sample. On a segment
+  // with strictly increasing finite times and finite values of magnitude
+  // at most `mag`, the computed slope, the computed interval ends and the
+  // scan's own interpolation each err by a few ulps of `mag` (at most
+  // 14 eps mag + 2 eps vtol together), so when `guard` covers that bound
+  // a computed s inside [s_lo, s_hi] proves every check of the scan
+  // passes, and skipping it yields the same breakpoints. Otherwise the
+  // scan decides; it then runs about once per breakpoint, not once per
+  // sample.
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const double guard = vtol * 1e-6;
+  const double vsleeve = vtol - guard;
+  double s_lo = 0.0;
+  double s_hi = 0.0;
+  double mag = 0.0;
   bool clean = false;
   auto restart = [&](std::size_t a) {
-    lo = hi = samples[a].second;
-    clean = std::isfinite(samples[a].first) && std::isfinite(lo);
+    s_lo = -std::numeric_limits<double>::infinity();
+    s_hi = std::numeric_limits<double>::infinity();
+    mag = std::abs(samples[a].second);
+    clean = std::isfinite(samples[a].first) && std::isfinite(mag);
   };
-  auto extend = [&](std::size_t k) {
+  auto extend = [&](std::size_t k) {  // k becomes the chord's endpoint
     const double v = samples[k].second;
     clean = clean && samples[k].first > samples[k - 1].first &&
             std::isfinite(samples[k].first) && std::isfinite(v);
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+    mag = std::max(mag, std::abs(v));
   };
-  const double accept = vtol * (1.0 - 1e-9) - 1e-15;
+  auto narrow = [&](std::size_t m) {  // m becomes an interior sample
+    const double dt = samples[m].first - samples[anchor].first;
+    const double dv = samples[m].second - samples[anchor].second;
+    const double lo = (dv - vsleeve) / dt;
+    const double hi = (dv + vsleeve) / dt;
+    clean = clean && std::isfinite(lo) && std::isfinite(hi);
+    s_lo = std::max(s_lo, lo);
+    s_hi = std::min(s_hi, hi);
+  };
   restart(0);
   extend(1);
   for (std::size_t k = 2; k < samples.size(); ++k) {
     extend(k);
-    const double span = hi - lo;
-    const double mag = std::max(std::abs(lo), std::abs(hi));
-    if (clean && std::isfinite(samples[k].first - samples[anchor].first) &&
-        span + 4.0 * std::numeric_limits<double>::epsilon() * (span + mag) <=
-            accept) {
+    narrow(k - 1);
+    const auto [t0, v0] = samples[anchor];
+    const auto [t1, v1] = samples[k];
+    const double span_t = t1 - t0;
+    const double slope = (v1 - v0) / span_t;
+    if (clean && std::isfinite(span_t) && std::isfinite(slope) &&
+        s_lo <= slope && slope <= s_hi &&
+        64.0 * kEps * (mag + vtol) + 8.0 * kTiny * (1.0 + span_t) <=
+            guard) {
       continue;
     }
     // Check all samples strictly between anchor and k against the chord.
-    const auto [t0, v0] = samples[anchor];
-    const auto [t1, v1] = samples[k];
     bool within = true;
     for (std::size_t m = anchor + 1; m < k && within; ++m) {
       const auto [tm, vm] = samples[m];

@@ -194,6 +194,11 @@ struct TetaWorkspace {
   numeric::LuFactorization lu_tr;  // the one transient factorization
   numeric::LuFactorization lu_newton;  // per-iteration DC Newton factor
   numeric::Vector x, xn, rhs, rhs_const, hist, yhist, vp, i_load;
+  /// The two converged solutions before the one in x (x_{k-1}, x_{k-2}),
+  /// from which each step predicts its SC starting point
+  /// 3 x_k - 3 x_{k-1} + x_{k-2}. The setup phase seeds both with the DC
+  /// point: the circuit is stationary before t = 0.
+  numeric::Vector x_km1, x_km2;
   /// Node voltages by local node id: rail slots are written once per
   /// transient, input slots once per step, unknown slots per iteration.
   numeric::Vector vnode;

@@ -32,9 +32,10 @@ struct StageSetup {
 /// Setup + DC phase of one transient attempt (see file comment). Resets
 /// `res`, fills `ws` (unknown map, step plan with the rail slots of
 /// ws.vnode written, chord_known, caps, factored lu_tr, y_h/y_dc, DC
-/// solution in ws.x, initialized convolver) and `setup`. Returns false
-/// with res.diag classified when the attempt cannot proceed (singular
-/// system, DC Newton failure).
+/// solution in ws.x and in the predictor history ws.x_km1/x_km2,
+/// initialized convolver) and `setup`. Returns false with res.diag
+/// classified when the attempt cannot proceed (singular system, DC
+/// Newton failure).
 bool setup_and_dc(const StageCircuit& stage,
                   const mor::PoleResidueModel& load, const TetaOptions& opt,
                   TetaWorkspace& ws, TetaResult& res, StageSetup& setup);
@@ -60,6 +61,20 @@ inline double device_norton(bool pmos, double beta, double vth,
   const double idn = swapped ? -idf : idf;
   const double ids = pmos ? -idn : idn;
   return ids - chord * (vd - vs);
+}
+
+/// Predicted SC starting point of the next step, in place, for one
+/// unknown: x = 3 x_k - 3 x_{k-1} + x_{k-2} (quadratic extrapolation of
+/// the last three converged solutions), then shift the history. The
+/// fixed point each step converges to does not depend on where the
+/// iteration starts; a good start only takes fewer chords to reach it.
+/// Both engines call this with the same association, so their per-lane
+/// IEEE operation sequences stay identical.
+inline void predict_start(double& x, double& x_km1, double& x_km2) {
+  const double xk = x;
+  x = 3.0 * xk - 3.0 * x_km1 + x_km2;
+  x_km2 = x_km1;
+  x_km1 = xk;
 }
 
 }  // namespace lcsf::teta::detail

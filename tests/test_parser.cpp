@@ -97,6 +97,13 @@ TEST(Parser, Errors) {
   EXPECT_THROW(parse_netlist("M1 d g s NMOS W 0.2u\n", kTech), ParseError);
   EXPECT_THROW(parse_netlist("V1 a 0 PWL(0)\n", kTech), ParseError);
   EXPECT_THROW(parse_netlist("+ x\n", kTech), ParseError);
+  // Values the netlist or the device model reject are deck errors too.
+  EXPECT_THROW(parse_netlist("R1 a 0 0\n", kTech), ParseError);
+  EXPECT_THROW(parse_netlist("C1 a a 1f\n", kTech), ParseError);
+  EXPECT_THROW(parse_netlist("M1 d g 0 NMOS L=-0.18u\n", kTech), ParseError);
+  EXPECT_THROW(parse_netlist("M1 d g 0 NMOS L=0.18u DL=0.2u\n", kTech),
+               ParseError);
+  EXPECT_THROW(parse_netlist("M1 d g 0 PMOS W=0\n", kTech), ParseError);
   try {
     parse_netlist("R1 a 0 1k\nR2 b 0 oops\n", kTech);
     FAIL() << "expected ParseError";

@@ -60,6 +60,16 @@ TEST(ServeJson, RejectsMalformedInput) {
   EXPECT_EQ(kind(R"(["unterminated)"), sim::FailureKind::kInvalidInput);
   EXPECT_EQ(kind("[1,]"), sim::FailureKind::kInvalidInput);
   EXPECT_EQ(kind(""), sim::FailureKind::kInvalidInput);
+  // Nesting is capped (the parser recurses per level): kMaxDepth levels
+  // parse, one more is an input error, and so is a 200,000-deep line.
+  const std::size_t cap = serve::Json::kMaxDepth;
+  EXPECT_EQ(kind(std::string(cap, '[') + std::string(cap, ']')),
+            sim::FailureKind::kNone);
+  EXPECT_EQ(kind(std::string(cap + 1, '[') + std::string(cap + 1, ']')),
+            sim::FailureKind::kInvalidInput);
+  EXPECT_EQ(kind(std::string(cap, '{') + "}"),
+            sim::FailureKind::kInvalidInput);
+  EXPECT_EQ(kind(std::string(200000, '[')), sim::FailureKind::kInvalidInput);
 }
 
 // ---- api::Session -----------------------------------------------------
@@ -435,6 +445,41 @@ TEST(Server, ServesRequestsOverTcpAndShutsDown) {
   EXPECT_EQ(responses[1], expected);  // and cached
   EXPECT_NE(responses[2].find("\"type\":\"shutdown\""), std::string::npos);
   EXPECT_EQ(server.cache().stats().hits, 1u);
+}
+
+TEST(Server, AnswersHostileLinesAndKeepsServing) {
+  serve::ServerOptions opt;
+  opt.workers = 1;
+  serve::Server server(opt);
+  server.bind_and_listen();
+  const std::string deep(200000, '[');  // once overflowed the parser stack
+  const std::string long_line =
+      R"({"id":"x","type":")" +
+      std::string(serve::kMaxRequestBytes + 4096, 'a') + R"("})";
+  std::vector<std::string> responses;
+  runtime::ThreadPool pool(2);
+  pool.parallel_for_lanes(
+      2,
+      [&](std::size_t begin, std::size_t, std::size_t) {
+        if (begin == 0) {
+          server.run();
+        } else {
+          responses = exchange(
+              server.port(), {deep, long_line, R"({"id":"m","type":"metrics"})",
+                              R"({"id":"s","type":"shutdown"})"});
+        }
+      },
+      1);
+  ASSERT_EQ(responses.size(), 4u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    const serve::Json v = serve::Json::parse(responses[k]);
+    EXPECT_FALSE(v.find("ok")->as_bool()) << responses[k];
+    EXPECT_EQ(v.find("error")->find("kind")->as_string(), "invalid-input");
+  }
+  EXPECT_NE(responses[0].find("nesting deeper"), std::string::npos);
+  EXPECT_NE(responses[1].find("longer than"), std::string::npos);
+  EXPECT_TRUE(serve::Json::parse(responses[2]).find("ok")->as_bool());
+  EXPECT_NE(responses[3].find("\"type\":\"shutdown\""), std::string::npos);
 }
 
 }  // namespace

@@ -175,11 +175,31 @@ std::vector<std::pair<double, double>> compress_pwl_brute_force(
 
 // Seeded property test of the fast accept: flat tails, exponential
 // settling, steps, and noise whose span sits just below, at and just
-// above vtol, on small and large offsets, plus a few degenerate inputs
-// (repeated times, non-finite values) that must fall through to the scan.
+// above vtol, on small and large offsets; settling ramps whose span is
+// many vtol (accepted by slope, not by span), alone and with noise about
+// a sloped line that puts interior samples right at the sleeve's edges;
+// plus a few degenerate inputs (repeated times, non-finite values) that
+// must fall through to the scan.
 TEST(CompressPwl, FastAcceptMatchesBruteForce) {
   std::mt19937_64 rng(20261017);
   std::uniform_real_distribution<double> u01(0.0, 1.0);
+  // Compares bits, so NaN samples compare equal to themselves.
+  const auto same_breakpoints =
+      [](const std::vector<std::pair<double, double>>& w,
+         double vtol) -> ::testing::AssertionResult {
+    const auto fast = compress_pwl(w, vtol);
+    const auto slow = compress_pwl_brute_force(w, vtol);
+    if (fast.size() != slow.size()) {
+      return ::testing::AssertionFailure()
+             << fast.size() << " vs " << slow.size() << " breakpoints";
+    }
+    for (std::size_t k = 0; k < slow.size(); ++k) {
+      if (std::memcmp(&fast[k], &slow[k], sizeof(fast[k])) != 0) {
+        return ::testing::AssertionFailure() << "breakpoint " << k;
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
   const double spans[] = {0.25, 0.5, 0.999, 1.0 - 2e-9, 1.0 - 1e-12, 1.0,
                           1.0 + 1e-12, 1.0 + 1e-6, 2.0};
   std::size_t cases = 0;
@@ -190,7 +210,8 @@ TEST(CompressPwl, FastAcceptMatchesBruteForce) {
     const double dt = 1e-12 * (0.5 + u01(rng));
     const double offset = c % 7 == 0 ? 1e3 * u01(rng) : u01(rng) * 1.8;
     const double span = spans[static_cast<std::size_t>(c) % 9] * vtol;
-    const int shape = c % 5;
+    const int shape = c % 7;
+    const double ramp = (3.0 + 60.0 * u01(rng)) * vtol;  // total ramp span
     const double tau = (5.0 + 60.0 * u01(rng)) * dt;
     const double t_step = dt * static_cast<double>(n) * u01(rng);
     std::vector<std::pair<double, double>> w;
@@ -210,8 +231,15 @@ TEST(CompressPwl, FastAcceptMatchesBruteForce) {
         case 3:  // flat with bounded noise of the chosen span
           v += span * (u01(rng) - 0.5);
           break;
-        default:  // settling with noise on top
+        case 4:  // settling with noise on top
           v += 1.8 * std::exp(-t / tau) + span * (u01(rng) - 0.5);
+          break;
+        case 5:  // slow settling ramp spanning many vtol
+          v += ramp * (1.0 - std::exp(-t / (20.0 * tau)));
+          break;
+        default:  // sloped line with noise of the chosen span
+          v += ramp * t / (dt * static_cast<double>(n)) +
+               2.0 * span * (u01(rng) - 0.5);
           break;
       }
       w.emplace_back(t, v);
@@ -219,19 +247,37 @@ TEST(CompressPwl, FastAcceptMatchesBruteForce) {
     if (c % 97 == 0 && n > 4) w[n / 2].first = w[n / 2 - 1].first;
     if (c % 89 == 0 && n > 4) w[n / 3].second = std::nan("");
     if (c % 83 == 0 && n > 4) w[n / 4].second = HUGE_VAL;
-    const auto fast = compress_pwl(w, vtol);
-    const auto slow = compress_pwl_brute_force(w, vtol);
-    ASSERT_EQ(fast.size(), slow.size()) << "case " << c;
-    for (std::size_t k = 0; k < slow.size(); ++k) {
-      // Compare bits, so NaN samples compare equal to themselves.
-      ASSERT_EQ(std::memcmp(&fast[k], &slow[k], sizeof(fast[k])), 0)
-          << "case " << c << " breakpoint " << k;
-    }
+    ASSERT_TRUE(same_breakpoints(w, vtol)) << "case " << c;
     ++cases;
-    if (slow.size() < w.size()) ++fewer;
+    if (compress_pwl(w, vtol).size() < w.size()) ++fewer;
   }
   EXPECT_EQ(cases, 3000u);
   EXPECT_GT(fewer, 1000u);
+
+  // Sleeve edges: samples on a random sloped line, one interior sample
+  // moved off it by (1 + e) vtol, with e from well inside the tolerance
+  // to just outside it. Every chord from the first sample past the moved
+  // one is then decided by that single deviation.
+  const double edges[] = {-1e-3, -1e-6, -1e-9, -1e-12, 0.0,
+                          1e-12, 1e-9,  1e-6,  1e-3};
+  for (int c = 0; c < 2000; ++c) {
+    const double vtol = 1.8e-4 * (0.1 + u01(rng) * 10.0);
+    const std::size_t n = 3 + static_cast<std::size_t>(u01(rng) * 60.0);
+    const double dt = 1e-12 * (0.5 + u01(rng));
+    const double offset = c % 7 == 0 ? 1e3 * u01(rng) : u01(rng) * 1.8;
+    const double slope =
+        (u01(rng) - 0.5) * 200.0 * vtol / (dt * static_cast<double>(n));
+    std::vector<std::pair<double, double>> w;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double t = static_cast<double>(k) * dt;
+      w.emplace_back(t, offset + slope * t);
+    }
+    const std::size_t m = 1 + static_cast<std::size_t>(
+                                  u01(rng) * static_cast<double>(n - 2));
+    const double sign = c % 2 == 0 ? 1.0 : -1.0;
+    w[m].second += sign * (1.0 + edges[c % 9]) * vtol;
+    ASSERT_TRUE(same_breakpoints(w, vtol)) << "edge case " << c;
+  }
 }
 
 TEST(StageCircuit, ChordConductances) {
@@ -482,7 +528,8 @@ TEST(StageEngine, ReportsIterationBudgetExhaustion) {
 // the two engines with each other, so a change in code both share (setup,
 // the step plan, the device kernel, the convolver) would pass them
 // unnoticed. These expectations were recorded from the engine in hexfloat
-// and catch any change in its IEEE operation sequence.
+// (with the predicted successive-chord start of docs/performance.md) and
+// catch any change in its IEEE operation sequence.
 
 std::string hexf(double v) {
   char buf[64];
@@ -557,14 +604,14 @@ TEST(GoldenBits, InverterTwoPortLoad) {
   InverterVsSpice fix;
   const TetaResult r = fix.run_teta(1.2e-9, 1e-12);
   EXPECT_EQ(golden(r, {0, 60, 100, 150, 300, 1200}),
-            "converged=1 steps=1201 sc=2272 kind=0 it=2272 retries=0"
+            "converged=1 steps=1201 sc=1984 kind=0 it=1984 retries=0"
             " tfail=0x0p+0 vmax=0x0p+0"
             " | 0: 0x1.cccca7846fc97p+0 0x1.cccc986af909bp+0"
-            " | 60: 0x1.d042d8b234f37p+0 0x1.cde461c2c1de9p+0"
-            " | 100: 0x1.bbb66a8c406f8p+0 0x1.ca842595a6c99p+0"
-            " | 150: 0x1.3a7ff3e5ae21dp-1 0x1.e3ee6b0ceeddp-1"
-            " | 300: 0x1.3555254aa2cdbp-7 0x1.0aca2e29d47b9p-6"
-            " | 1200: 0x1.5d62e3ffbaf92p-35 -0x1.6e2cc7393b936p-37");
+            " | 60: 0x1.d042d9556ac63p+0 0x1.cde4623233fc7p+0"
+            " | 100: 0x1.bbb65ffa9c215p+0 0x1.ca842224a88aep+0"
+            " | 150: 0x1.3a7fd27508a26p-1 0x1.e3ee40d05f1c7p-1"
+            " | 300: 0x1.355279c084c6ap-7 0x1.0ac8b93735e53p-6"
+            " | 1200: 0x1.739acda976838p-35 -0x1.87b6295f12ee8p-37");
 }
 
 TEST(GoldenBits, Nand2StackWithInternalNode) {
@@ -591,15 +638,15 @@ TEST(GoldenBits, Nand2StackWithInternalNode) {
       simulate_stage(stage, cap_load(stage, 25e-15, t.vdd),
                      golden_options(t.vdd));
   EXPECT_EQ(golden(r, {0, 40, 90, 150, 330, 400, 600}),
-            "converged=1 steps=601 sc=3713 kind=0 it=3713 retries=0"
+            "converged=1 steps=601 sc=2516 kind=0 it=2516 retries=0"
             " tfail=0x0p+0 vmax=0x0p+0"
             " | 0: 0x1.cc96252271c71p+0"
-            " | 40: 0x1.d4d4b6e89b6cp+0"
-            " | 90: 0x1.d02bc5038c394p+0"
-            " | 150: 0x1.16b0ae1496ee3p-1"
-            " | 330: 0x1.e1f817e46d8fcp-14"
-            " | 400: 0x1.34c88c00a977bp-1"
-            " | 600: 0x1.cc1625279a7d4p+0");
+            " | 40: 0x1.d4d4c0830164dp+0"
+            " | 90: 0x1.d02bc7619d17ap+0"
+            " | 150: 0x1.16b099cba7a18p-1"
+            " | 330: 0x1.dfe41debec60bp-14"
+            " | 400: 0x1.34c8e45e50d13p-1"
+            " | 600: 0x1.cc164571312a4p+0");
 }
 
 TEST(GoldenBits, TransmissionGateConductsBothWays) {
@@ -622,15 +669,15 @@ TEST(GoldenBits, TransmissionGateConductsBothWays) {
       simulate_stage(stage, cap_load(stage, 15e-15, t.vdd),
                      golden_options(t.vdd));
   EXPECT_EQ(golden(r, {0, 50, 80, 120, 310, 360, 600}),
-            "converged=1 steps=601 sc=1674 kind=0 it=1674 retries=0"
+            "converged=1 steps=601 sc=980 kind=0 it=980 retries=0"
             " tfail=0x0p+0 vmax=0x0p+0"
             " | 0: 0x0p+0"
-            " | 50: 0x1.6dbf20dec1075p-4"
-            " | 80: 0x1.708ea03fe6901p-1"
-            " | 120: 0x1.a10821bd4d7e8p+0"
-            " | 310: 0x1.b95c2c82172bap+0"
-            " | 360: 0x1.ffb437f376e9fp-2"
-            " | 600: 0x1.0b7b15491b6c6p-27");
+            " | 50: 0x1.6dbf45aa895b7p-4"
+            " | 80: 0x1.708eba5808da5p-1"
+            " | 120: 0x1.a10828b9baf88p+0"
+            " | 310: 0x1.b95c29f56943ep+0"
+            " | 360: 0x1.ffb4377df34fep-2"
+            " | 600: 0x1.c80ab78f843a8p-28");
 }
 
 TEST(GoldenBits, DtHalvingRetryLadder) {
@@ -660,13 +707,13 @@ TEST(GoldenBits, DtHalvingRetryLadder) {
   EXPECT_GT(r.diag.retries_used, 0);
   EXPECT_TRUE(r.converged) << r.failure();
   EXPECT_EQ(golden(r, {0, 10, 20, 30, 60}),
-            "converged=1 steps=61 sc=388 kind=0 it=388 retries=1 tfail=0x0p+0"
+            "converged=1 steps=61 sc=380 kind=0 it=380 retries=1 tfail=0x0p+0"
             " vmax=0x0p+0"
             " | 0: 0x1.cc83eeb9af9f9p+0"
-            " | 10: 0x1.cc83ff5c621a6p+0"
-            " | 20: 0x1.b38ab0abe3807p+0"
-            " | 30: 0x1.0aa2353a075c1p-3"
-            " | 60: 0x1.a503a1756c9c1p-14");
+            " | 10: 0x1.cc8400989ce44p+0"
+            " | 20: 0x1.b38aa84a07f68p+0"
+            " | 30: 0x1.0aa1b9e9c5a22p-3"
+            " | 60: 0x1.a504b656c3154p-14");
 }
 
 core::PathVariationModel golden_model() {
@@ -690,9 +737,9 @@ TEST(GoldenBits, SessionRunGraphS208) {
   std::string mc;
   for (const double v : g.mc.values) mc += hexf(v) + " ";
   EXPECT_EQ(mc,
-            "0x1.b9093c63acbb2p-32 0x1.c4466cfc1f5a8p-32 0x1.b7ad46beb82fep-32"
-            " 0x1.baa452603ddaep-32 ");
-  EXPECT_EQ(hexf(g.nominal.max_delay), "0x1.be09ec7b61adp-32");
+            "0x1.b908e774d8146p-32 0x1.c44608bea12fcp-32 0x1.b7ace81d96ad8p-32"
+            " 0x1.baa3f51ac4062p-32 ");
+  EXPECT_EQ(hexf(g.nominal.max_delay), "0x1.be098add654dep-32");
   std::vector<double> all = g.mc.values;
   for (const auto& e : g.nominal.endpoints) {
     all.insert(all.end(), {static_cast<double>(e.net), e.delay, e.slew});
@@ -701,7 +748,7 @@ TEST(GoldenBits, SessionRunGraphS208) {
     all.insert(all.end(), {a.arrival.mean, a.arrival.local});
     all.insert(all.end(), a.arrival.sens.begin(), a.arrival.sens.end());
   }
-  EXPECT_EQ(bits_hash(all), "fbcfd83dd721264a");
+  EXPECT_EQ(bits_hash(all), "038f3f98ab4e7bc1");
 }
 
 TEST(GoldenBits, SessionIsCvYieldS27) {
@@ -719,11 +766,11 @@ TEST(GoldenBits, SessionIsCvYieldS27) {
   EXPECT_EQ(hexf(y.clock_period) + " " + hexf(is.yield_loss) + " " +
                 hexf(is.std_error) + " " + hexf(is.ess) + " " +
                 hexf(is.control_coefficient),
-            "0x1.e3cea711e712cp-33 0x1.026fca3a5efebp-8 0x1.13e1f5e13fff7p-10"
-            " 0x1.5a8bb9dd3616bp+0 0x1.846e248e26186p-1");
+            "0x1.e3ce287cdd8fbp-33 0x1.026a570271be4p-8 0x1.13dc488dea01ap-10"
+            " 0x1.5a7712073cca9p+0 0x1.847ba967aa45bp-1");
   std::vector<double> all = is.values;
   all.insert(all.end(), is.weights.begin(), is.weights.end());
-  EXPECT_EQ(bits_hash(all), "9d7c0e57a6e155ff");
+  EXPECT_EQ(bits_hash(all), "92fd01b6e6913bc0");
 }
 
 }  // namespace

@@ -15,9 +15,13 @@ Usage:
   tools/check_metrics.py --schema tools/metrics_schema.json out.json
   tools/check_metrics.py --schema ... out.json --require stats.mc.samples
   tools/check_metrics.py --diff-deterministic a.json b.json
+  tools/check_metrics.py --schema ... out.json \
+      --max-ratio teta.chord_iterations/teta.transients=1150
 
 --require asserts a counter name is present (repeatable; CI uses it to
-prove the engine instrumentation actually fired). --diff-deterministic
+prove the engine instrumentation actually fired). --max-ratio bounds the
+quotient of two counters (repeatable): deterministic counts make
+machine-independent gates, such as chord iterations per transient. --diff-deterministic
 strips the wall-clock content (timers, *_seconds/_ms/_us/_ns
 distributions) from two exports and fails when the remainders differ --
 the CLI-level witness of the thread-count-invariance contract.
@@ -127,6 +131,10 @@ def main(argv):
                         metavar="COUNTER",
                         help="fail unless this counter is present "
                              "(repeatable)")
+    parser.add_argument("--max-ratio", action="append", default=[],
+                        metavar="NUM/DEN=LIMIT",
+                        help="fail unless counter NUM / counter DEN <= "
+                             "LIMIT (repeatable)")
     parser.add_argument("--diff-deterministic", nargs=2,
                         metavar=("A.json", "B.json"),
                         help="compare the deterministic projections of "
@@ -153,6 +161,14 @@ def main(argv):
         parser.error("need --schema and at least one metrics file "
                      "(or --diff-deterministic)")
     schema = load(args.schema)
+    ratios = []
+    for spec in args.max_ratio:
+        try:
+            names, limit = spec.rsplit("=", 1)
+            num, den = names.split("/")
+            ratios.append((num, den, float(limit)))
+        except ValueError:
+            parser.error(f"--max-ratio expects NUM/DEN=LIMIT, got {spec!r}")
     status = 0
     for path in args.files:
         doc = load(path)
@@ -163,6 +179,18 @@ def main(argv):
         for name in args.require:
             if name not in counters:
                 errors.append(f"required counter '{name}' missing")
+        for num, den, limit in ratios:
+            if not counters.get(den):
+                errors.append(f"ratio {num}/{den}: counter '{den}' "
+                              f"missing or zero")
+                continue
+            ratio = counters.get(num, 0) / counters[den]
+            if ratio > limit:
+                errors.append(f"ratio {num}/{den} = {ratio:.6g} exceeds "
+                              f"{limit:g}")
+            else:
+                print(f"check_metrics: {path}: {num}/{den} = "
+                      f"{ratio:.6g} <= {limit:g}")
         if errors:
             status = 1
             print(f"check_metrics: {path}: INVALID", file=sys.stderr)

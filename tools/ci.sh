@@ -141,6 +141,10 @@ echo "==== stage: obs ===="
 # 8 threads. Last, the s832 path report at --batch 8 must be
 # byte-identical to --batch 1: this gates the lane-inner successive-chord
 # kernel bitwise against the scalar engine on a real multi-stage path.
+# The s208 graph run gates chord iterations per transient, a
+# deterministic count: the predicted SC start (docs/performance.md)
+# reads 1119, against 2318 when each step started from the last
+# solution; the bound is that value plus about 3%.
 OBS_DIR=build-ci-release/obs-ci
 STA=build-ci-release/tools/lcsf_sta
 SIM=build-ci-release/tools/lcsf_sim
@@ -173,6 +177,8 @@ if mkdir -p "$OBS_DIR" \
     && "$STA" --circuit s832 --samples 20 --threads 4 --batch 8 \
          > "$OBS_DIR/sta_s832_b8.txt" \
     && cmp "$OBS_DIR/sta_s832_b1.txt" "$OBS_DIR/sta_s832_b8.txt" \
+    && "$STA" --circuit s208 --graph --top-k 8 --samples 20 --threads 1 \
+         --metrics "$OBS_DIR/sta_s208_graph.json" > /dev/null \
     && "$SIM" examples/decks/inverter_chain.sp --tstop 1n --dt 2p \
          --points 2 --metrics "$OBS_DIR/sim.json" > /dev/null \
     && python3 tools/check_metrics.py --schema tools/metrics_schema.json \
@@ -194,6 +200,9 @@ if mkdir -p "$OBS_DIR" \
          --require stats.graph.stages_simulated \
          --require stats.graph.stage_cache_hits \
          --require stats.graph.merges \
+    && python3 tools/check_metrics.py --schema tools/metrics_schema.json \
+         "$OBS_DIR/sta_s208_graph.json" \
+         --max-ratio teta.chord_iterations/teta.transients=1150 \
     && python3 tools/check_metrics.py --schema tools/metrics_schema.json \
          "$OBS_DIR/sim.json" \
          --require spice.newton_iterations --require parser.devices \
